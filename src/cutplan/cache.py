@@ -8,9 +8,11 @@ corrupt, warned about, and recomputed.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +63,7 @@ class PlanCache:
             return None
 
     def store(self, digest: str, plan: FractionPlan) -> Path:
+        """Write the entry atomically; raises OSError if the directory is unusable."""
         from . import __version__
 
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -77,7 +80,15 @@ class PlanCache:
                 "package_version": __version__,
             },
         }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        tmp.replace(path)
+        # A private temp file per store: concurrent writers never share one,
+        # and each reader sees either no entry or a complete one.
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=digest + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as out:
+                out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         return path

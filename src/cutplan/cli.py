@@ -192,8 +192,13 @@ def _resolve_fractions(args, matrix, digest):
         log.info("cache entry for structure %s verified against a fresh solve", digest[:12])
         return cached
     if cache is not None:
-        path = cache.store(digest, fresh)
-        log.info("cached fraction plan at %s", path)
+        # The cache only saves work: a failed store must not fail the request.
+        try:
+            path = cache.store(digest, fresh)
+        except OSError as exc:
+            log.warning("could not cache the fraction plan: %s", exc)
+        else:
+            log.info("cached fraction plan at %s", path)
     return fresh
 
 

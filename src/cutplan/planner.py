@@ -11,6 +11,7 @@ integer plan whose minimum cutset test count is exactly g times the total.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +25,8 @@ from .errors import (
 )
 from .simplex import OPTIMAL, LpProblem, solve_lp
 from .structure import CutsetMatrix, shortest_path_length
+
+log = logging.getLogger("cutplan.planner")
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,13 @@ def optimize_fractions(cutsets: CutsetMatrix) -> FractionPlan:
         # h = (1,...,1) is always feasible (every row has a member) and the
         # objective is bounded below by zero, so anything else is a bug.
         raise InternalInvariantError("relaxation reported %s" % solution.status)
+    log.info(
+        "solved the %dx%d relaxation in %d pivots (largest tableau integer: %d bits)",
+        cutsets.s,
+        cutsets.m,
+        solution.pivots,
+        solution.max_bits,
+    )
     big_h = solution.objective
     if big_h < 1:
         raise InternalInvariantError("relaxation objective fell below 1")

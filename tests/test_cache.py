@@ -2,7 +2,10 @@
 
 import json
 import logging
+import threading
 from fractions import Fraction
+
+import pytest
 
 from cutplan import optimize_fractions
 from cutplan.cache import PlanCache
@@ -64,3 +67,42 @@ class TestCache:
         assert entry["cutset_fraction"] == "2/5"
         assert entry["n_zero"] == 5
         assert "solver" in entry
+
+    def test_leftover_tmp_directory_does_not_block_stores(self, tmp_path):
+        digest, plan = solved()
+        cache = PlanCache(tmp_path)
+        (tmp_path / ("%s.tmp" % digest)).mkdir()
+        cache.store(digest, plan)
+        assert cache.lookup(digest) == plan
+
+    def test_failed_store_raises_and_leaves_no_temp_file(self, tmp_path):
+        digest, plan = solved()
+        cache = PlanCache(tmp_path)
+        blocker = cache.entry_path(digest)
+        blocker.mkdir()
+        (blocker / "keep").write_text("", encoding="utf-8")
+        with pytest.raises(OSError):
+            cache.store(digest, plan)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [blocker.name]
+
+    def test_concurrent_stores_of_one_digest_all_succeed(self, tmp_path):
+        digest, plan = solved()
+        cache = PlanCache(tmp_path)
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(25):
+                    cache.store(digest, plan)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert cache.lookup(digest) == plan
+        assert [p.name for p in tmp_path.iterdir()] == [cache.entry_path(digest).name]

@@ -250,6 +250,31 @@ class TestCacheBehaviour:
             assert run_cli(tmp_path, doc, "--tests", "20003", "--verify-cache") == 0
         assert "verified" in caplog.text
 
+    def test_miss_logs_solver_counters_and_hit_does_not(self, tmp_path, capsys, caplog):
+        doc = write_doc(tmp_path, ASYM_DOC)
+        with caplog.at_level(logging.INFO):
+            assert run_cli(tmp_path, doc, "--tests", "20003") == 0
+        assert "solved the 4x5 relaxation in" in caplog.text
+        assert "pivots" in caplog.text and "bits" in caplog.text
+        caplog.clear()
+        with caplog.at_level(logging.INFO):
+            assert run_cli(tmp_path, doc, "--tests", "20003") == 0
+        assert "cache hit" in caplog.text
+        assert "pivots" not in caplog.text
+
+    def test_unwritable_cache_warns_and_still_plans(self, tmp_path, capsys, caplog):
+        doc = write_doc(tmp_path, ASYM_DOC)
+        assert run_cli(tmp_path, doc, "--tests", "20003", "--no-cache", "--format", "json") == 0
+        expected = capsys.readouterr().out
+        not_a_dir = tmp_path / "cache-file"
+        not_a_dir.write_text("", encoding="utf-8")
+        argv = [doc, "--cache-dir", str(not_a_dir), "--tests", "20003", "--format", "json"]
+        with caplog.at_level(logging.WARNING):
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
+        assert "could not cache" in caplog.text
+        assert not_a_dir.read_text(encoding="utf-8") == ""
+
 
 class TestProcessEntryPoint:
     def test_module_invocation(self, tmp_path):
