@@ -13,8 +13,8 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -29,7 +29,7 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .oracle import DEFAULT_ALLOCATION_CAP, brute_force_plan
-from .planner import confidence_bound, integer_plan, optimize_fractions, shortest_path_check
+from .planner import _achieves_g, confidence_bound, integer_plan, optimize_fractions, shortest_path_check
 from .report import AuditSummary, PlanReport
 from .structure import minimal_cutsets, minimal_pathsets
 
@@ -180,8 +180,14 @@ def _resolve_fractions(args, matrix, digest):
     cached = cache.lookup(digest) if cache else None
 
     if cached is not None and not args.verify_cache:
-        log.info("cache hit for structure %s", digest[:12])
-        return cached
+        if _achieves_g(cached, matrix):
+            log.info("cache hit for structure %s", digest[:12])
+            return cached
+        log.warning(
+            "ignoring corrupt cache entry %s: its fractions do not give every cutset g",
+            cache.entry_path(digest),
+        )
+        cached = None
 
     fresh = optimize_fractions(matrix)
     if cached is not None:
@@ -227,21 +233,30 @@ def _run_audit(matrix, fp, plan) -> AuditSummary:
     )
 
 
+class _JsonLogFormatter(logging.Formatter):
+    """One JSON object per record, so JSON-mode stderr parses line by line."""
+
+    def format(self, record: logging.LogRecord) -> str:
+        entry = {"level": record.levelname, "message": record.getMessage()}
+        return json.dumps({"log": entry}, sort_keys=True)
+
+
 def _emit_error(exc: Exception, fmt: str):
     name = type(exc).__name__
     if fmt == "json":
-        import json
-
         payload = {"error": {"type": name, "message": str(exc)}}
-        print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
+        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     else:
         print("error: %s: %s" % (name, exc), file=sys.stderr)
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    # basicConfig does nothing when the caller has already set up logging.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_JsonLogFormatter() if args.format == "json" else logging.Formatter("%(message)s"))
+    logging.basicConfig(level=logging.INFO, handlers=[handler])
     try:
         report = run(args)
     except BudgetTooSmall as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import InputError
-from .structure import TRUTH_TABLE_MAX_COMPONENTS, SystemStructure
+from .structure import SystemStructure, _check_component_names, _check_truth_table_size
 
 SCHEMA_VERSION = 1
 
@@ -48,14 +48,9 @@ def parse_document(text: str) -> StructureDocument:
         raise InputError("unsupported schema_version %r (expected %d)" % (version, SCHEMA_VERSION))
 
     components = raw.get("components")
-    if not isinstance(components, list) or not components:
+    if not isinstance(components, list):
         raise InputError("components must be a nonempty list of labels")
-    if not all(isinstance(c, str) and c for c in components):
-        raise InputError("component labels must be nonempty strings")
-    if len(set(components)) != len(components):
-        raise InputError("component labels must be unique")
-    components = tuple(components)
-    m = len(components)
+    components = _check_component_names(components)
 
     has_cutsets = "cutsets" in raw
     has_table = "truth_table" in raw
@@ -67,7 +62,7 @@ def parse_document(text: str) -> StructureDocument:
     if has_cutsets:
         cutsets = _parse_cutsets(raw["cutsets"], components)
     else:
-        truth_table = _parse_truth_table(raw["truth_table"], m)
+        truth_table = _parse_truth_table(raw["truth_table"], len(components))
 
     metadata = raw.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
@@ -100,33 +95,27 @@ def _parse_cutsets(raw: Any, components: tuple[str, ...]) -> tuple[tuple[str, ..
 
 
 def _parse_truth_table(raw: Any, m: int) -> tuple[tuple[str, int], ...]:
-    if m > TRUTH_TABLE_MAX_COMPONENTS:
-        raise InputError(
-            "truth tables are limited to %d components; give cutsets instead"
-            % TRUTH_TABLE_MAX_COMPONENTS
-        )
+    _check_truth_table_size(m)
     if not isinstance(raw, list) or not raw:
         raise InputError("truth_table must be a nonempty list of entries")
-    seen = set()
-    parsed = []
-    for entry in raw:
-        if not isinstance(entry, dict) or set(entry) != {"state", "failed"}:
-            raise InputError("truth table entries must have exactly state and failed fields")
-        state = entry["state"]
-        failed = entry["failed"]
-        if not isinstance(state, str) or len(state) != m or any(ch not in "01" for ch in state):
-            raise InputError("state %r is not a bit string of length %d" % (state, m))
-        if failed not in (0, 1):
-            raise InputError("failed flag must be 0 or 1")
-        if state in seen:
-            raise InputError("state %r appears more than once" % state)
-        seen.add(state)
-        parsed.append((state, failed))
-    if len(parsed) != 1 << m:
+    if not all(isinstance(entry, dict) and entry.keys() == {"state", "failed"} for entry in raw):
+        raise InputError("truth table entries must have exactly state and failed fields")
+    states = [entry["state"] for entry in raw]
+    bad = [s for s in states if not isinstance(s, str) or len(s) != m or s.strip("01")]
+    if bad:
+        raise InputError("state %r is not a bit string of length %d" % (bad[0], m))
+    flags = [entry["failed"] for entry in raw]
+    if flags.count(0) + flags.count(1) != len(flags):
+        raise InputError("failed flag must be 0 or 1")
+    if len(set(states)) != len(states):
+        seen = set()
+        repeated = next(s for s in states if s in seen or seen.add(s))
+        raise InputError("state %r appears more than once" % repeated)
+    if len(states) != 1 << m:
         raise InputError(
-            "truth table lists %d of the %d states" % (len(parsed), 1 << m)
+            "truth table lists %d of the %d states" % (len(states), 1 << m)
         )
-    return tuple(parsed)
+    return tuple(zip(states, flags))
 
 
 def load_document(path: str | Path) -> StructureDocument:
@@ -160,11 +149,7 @@ def document_to_structure(doc: StructureDocument) -> SystemStructure:
     if doc.cutsets is not None:
         sets = [frozenset(index[label] for label in cut) for cut in doc.cutsets]
         return SystemStructure.from_cutsets(doc.components, sets)
-    table = [0] * (1 << len(doc.components))
-    for state, failed in doc.truth_table:
-        mask = 0
-        for k, ch in enumerate(state):
-            if ch == "1":
-                mask |= 1 << k
-        table[mask] = failed
-    return SystemStructure.from_truth_table(doc.components, table)
+    # Character k of a state is bit k of its mask.  The states are the 2^m
+    # distinct bit strings, so in mask order they are masks 0 .. 2^m - 1.
+    ordered = sorted((int(state[::-1], 2), failed) for state, failed in doc.truth_table)
+    return SystemStructure.from_truth_table(doc.components, [failed for _, failed in ordered])

@@ -15,6 +15,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from .errors import (
@@ -119,14 +120,7 @@ class PathStrategyCheck:
 
 def optimize_fractions(cutsets: CutsetMatrix) -> FractionPlan:
     """Solve the continuous relaxation exactly and return the optimal fractions."""
-    one = Fraction(1)
-    if any(not any(row) for row in cutsets.rows):
-        raise InternalInvariantError("cutset matrix row without members")
-    problem = LpProblem(
-        cost=(one,) * cutsets.m,
-        constraint_matrix=tuple(tuple(Fraction(v) for v in row) for row in cutsets.rows),
-        rhs=(one,) * cutsets.s,
-    )
+    problem = LpProblem(cost=(1,) * cutsets.m, constraint_matrix=cutsets.rows, rhs=(1,) * cutsets.s)
     solution = solve_lp(problem)
     if solution.status != OPTIMAL:
         # h = (1,...,1) is always feasible (every row has a member) and the
@@ -142,19 +136,25 @@ def optimize_fractions(cutsets: CutsetMatrix) -> FractionPlan:
     big_h = solution.objective
     if big_h < 1:
         raise InternalInvariantError("relaxation objective fell below 1")
-    g = one / big_h
     fractions = tuple(hj / big_h for hj in solution.variables)
-    totals = [
-        sum(Fraction(v) * fj for v, fj in zip(row, fractions)) for row in cutsets.rows
-    ]
-    if min(totals) != g:
-        raise InternalInvariantError("minimum cutset fraction does not equal g")
-    return FractionPlan(
+    fp = FractionPlan(
         fractions=fractions,
-        cutset_fraction=g,
+        cutset_fraction=1 / big_h,
         n_zero=find_n_zero(fractions),
         multiple_optima=solution.multiple_optima,
     )
+    if not _achieves_g(fp, cutsets):
+        raise InternalInvariantError("minimum cutset fraction does not equal g")
+    return fp
+
+
+def _achieves_g(fp: FractionPlan, cutsets: CutsetMatrix) -> bool:
+    """Whether the plan fits the matrix: min over cutsets of Y.f is exactly g.
+
+    Checked in integers on the counts f * n_zero, which n_zero makes whole.
+    """
+    counts = [f.numerator * (fp.n_zero // f.denominator) for f in fp.fractions]
+    return len(counts) == cutsets.m and min_cutset_tests(cutsets, counts) == fp.cutset_fraction * fp.n_zero
 
 
 def find_n_zero(fractions: Sequence[Fraction]) -> int:
@@ -177,7 +177,7 @@ def min_cutset_tests(cutsets: CutsetMatrix, n: Sequence[int]) -> int:
         raise InputError("allocation length must match the number of components")
     if any(v < 0 for v in n):
         raise InputError("test counts must be nonnegative")
-    return min(sum(v * nj for v, nj in zip(row, n)) for row in cutsets.rows)
+    return min(sum(compress(n, row)) for row in cutsets.rows)
 
 
 def integer_plan(

@@ -5,33 +5,45 @@ structure function phi over component-failure indicators: phi(x) = 1 means the
 combination of failed components x brings the whole system down.  Structures
 are given either as an explicit truth table or as a list of cutsets; both
 reduce to the canonical incidence matrix of inclusion-minimal cutsets that the
-planner operates on.
+planner operates on.  Sets of components are int bitmasks (bit j for
+component j), and a truth table is one int of 2^m bits: bit ``mask`` is phi(mask).
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import DegenerateStructure, InputError, InternalInvariantError, NonCoherentStructure
+from .errors import DegenerateStructure, InputError, NonCoherentStructure
 
 # Truth tables are enumerated exhaustively; beyond this many components the
 # 2^m table is no longer reasonable and callers must supply cutsets directly.
 TRUTH_TABLE_MAX_COMPONENTS = 20
 
+# Byte values 0/1 to the ASCII digits that int(..., 2) reads.
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 def _check_component_names(names: Sequence[str]) -> tuple[str, ...]:
+    """The component labels as a tuple: nonempty, nonempty strings, unique."""
     names = tuple(names)
     if not names:
-        raise InputError("a structure needs at least one component")
+        raise InputError("components must be a nonempty list of labels")
+    if not all(isinstance(name, str) and name for name in names):
+        raise InputError("component labels must be nonempty strings")
     if len(set(names)) != len(names):
-        raise InputError("component names must be unique")
-    for name in names:
-        if not isinstance(name, str) or not name:
-            raise InputError("component names must be nonempty strings")
+        raise InputError("component labels must be unique")
     return names
+
+
+def _check_truth_table_size(m: int):
+    if m > TRUTH_TABLE_MAX_COMPONENTS:
+        raise InputError(
+            "truth tables are limited to %d components; give cutsets instead"
+            % TRUTH_TABLE_MAX_COMPONENTS
+        )
 
 
 @dataclass(frozen=True)
@@ -40,8 +52,8 @@ class SystemStructure:
 
     Exactly one of ``cutsets`` / ``truth_table`` is set.  ``cutsets`` holds
     component-index sets; failure of all components in any one of them fails
-    the system.  ``truth_table`` holds phi for every state, indexed by the
-    bitmask with bit j set when component j has failed.
+    the system.  ``truth_table`` is phi as one int of 2^m bits: bit ``mask``
+    is phi(mask), where bit j of mask is set when component j has failed.
 
     Instances are validated on construction: truth tables must be monotone
     (witnessed ``NonCoherentStructure`` otherwise) and non-constant, so every
@@ -50,7 +62,7 @@ class SystemStructure:
 
     component_names: tuple[str, ...]
     cutsets: tuple[frozenset[int], ...] | None = None
-    truth_table: tuple[int, ...] | None = None
+    truth_table: int | None = None
 
     def __post_init__(self):
         names = _check_component_names(self.component_names)
@@ -74,8 +86,15 @@ class SystemStructure:
 
     @classmethod
     def from_truth_table(cls, component_names: Sequence[str], table: Sequence[int]) -> "SystemStructure":
-        """Build from a full truth table indexed by failed-component bitmask."""
-        return cls(tuple(component_names), truth_table=tuple(int(v) for v in table))
+        """Build from a full 0/1 truth table indexed by failed-component bitmask."""
+        names = _check_component_names(component_names)
+        _check_truth_table_size(len(names))
+        if len(table) != 1 << len(names):
+            raise InputError("truth table must list all %d states" % (1 << len(names)))
+        if not set(table) <= {0, 1}:
+            raise InputError("truth table values must be 0 or 1")
+        digits = bytes(map(int, reversed(table))).translate(_BIT_DIGITS)
+        return cls(names, truth_table=int(digits, 2))
 
     def _validate_cutsets(self):
         m = self.m
@@ -89,39 +108,23 @@ class SystemStructure:
 
     def _validate_truth_table(self):
         m = self.m
-        if m > TRUTH_TABLE_MAX_COMPONENTS:
-            raise InputError(
-                "truth tables are limited to %d components; give cutsets instead"
-                % TRUTH_TABLE_MAX_COMPONENTS
-            )
+        _check_truth_table_size(m)
         table = self.truth_table
-        if len(table) != 1 << m:
-            raise InputError("truth table must list all %d states" % (1 << m))
-        if any(v not in (0, 1) for v in table):
-            raise InputError("truth table values must be 0 or 1")
+        if not isinstance(table, int) or table < 0 or table >> (1 << m):
+            raise InputError("truth table must be an int of %d bits" % (1 << m))
         # Monotone: failing one more component never repairs the system.
-        for mask in range(1 << m):
-            if not table[mask]:
-                continue
-            for j in range(m):
-                if not mask & (1 << j):
-                    larger = mask | (1 << j)
-                    if not table[larger]:
-                        raise NonCoherentStructure(
-                            _mask_to_state(mask, m), _mask_to_state(larger, m)
-                        )
-        if table[0]:
+        # broken[j] marks the failed states with j working that work once j
+        # fails; the witness is the lowest such state, then the lowest j.
+        broken = [table & works & ~(table >> (1 << j)) for j, works in enumerate(_works_masks(m))]
+        witnesses = [((b & -b).bit_length() - 1, j) for j, b in enumerate(broken) if b]
+        if witnesses:
+            low, j = min(witnesses)
+            raise NonCoherentStructure(_mask_to_state(low, m), _mask_to_state(low | 1 << j, m))
+        if table & 1:
             # Monotone with phi(0...0) = 1 means phi is constant 1.
             raise DegenerateStructure("the system fails even with no failed components")
-        if not table[(1 << m) - 1]:
+        if not table >> ((1 << m) - 1):
             raise DegenerateStructure("the system survives failure of every component")
-
-    def phi(self, mask: int) -> int:
-        """Structure function over a failed-component bitmask."""
-        if self.truth_table is not None:
-            return self.truth_table[mask]
-        failed = {j for j in range(self.m) if mask & (1 << j)}
-        return int(any(cut <= failed for cut in self.cutsets))
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,8 @@ class CutsetMatrix:
 
     component_names: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
+    # Row i as a component bitmask; derived from ``rows``.
+    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = _check_component_names(self.component_names)
@@ -145,19 +150,16 @@ class CutsetMatrix:
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise InputError("cutset matrix needs at least one row")
-        sets = []
-        for row in rows:
-            if len(row) != m:
-                raise InputError("every matrix row must have one entry per component")
-            if any(v not in (0, 1) for v in row):
-                raise InputError("matrix entries must be 0 or 1")
-            members = frozenset(j for j, v in enumerate(row) if v)
-            if not members:
-                raise InputError("every cutset row needs at least one member")
-            sets.append(members)
-        for a, b in itertools.combinations(sets, 2):
-            if a <= b or b <= a:
-                raise InputError("cutset rows must be distinct and pairwise incomparable")
+        if any(len(row) != m for row in rows):
+            raise InputError("every matrix row must have one entry per component")
+        if not set(itertools.chain.from_iterable(rows)) <= {0, 1}:
+            raise InputError("matrix entries must be 0 or 1")
+        masks = tuple(int("".join(map(str, reversed(row))), 2) for row in rows)
+        if not all(masks):
+            raise InputError("every cutset row needs at least one member")
+        if any(a & b in (a, b) for a, b in itertools.combinations(masks, 2)):
+            raise InputError("cutset rows must be distinct and pairwise incomparable")
+        object.__setattr__(self, "_masks", masks)
 
     @property
     def s(self) -> int:
@@ -180,10 +182,10 @@ class CutsetMatrix:
 
     def row_members(self, i: int) -> tuple[int, ...]:
         """Component indices of cutset i, ascending."""
-        return tuple(j for j, v in enumerate(self.rows[i]) if v)
+        return _members(self._masks[i])
 
     def row_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(self.row_members(i)) for i in range(self.s))
+        return tuple(frozenset(_members(mask)) for mask in self._masks)
 
     def zero_columns(self) -> tuple[int, ...]:
         """Indices of components that appear in no minimal cutset."""
@@ -191,84 +193,96 @@ class CutsetMatrix:
 
     def canonical_digest(self) -> str:
         """Hex digest identifying the matrix independent of row order and labels."""
-        keys = sorted(self.row_members(i) for i in range(self.s))
         payload = "m=%d;rows=%s" % (
             self.m,
-            "|".join(",".join(str(j) for j in key) for key in keys),
+            "|".join(",".join(map(str, key)) for key in _canonical(self._masks)),
         )
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+def _works_masks(m: int) -> list[int]:
+    """For each component j, the 2^m-bit int whose bit ``mask`` is set when j works in mask.
+
+    Built by doubling: going from k to k + 1 components repeats each pattern
+    in the upper half of the states and adds component k, working in the lower.
+    """
+    masks: list[int] = []
+    for k in range(m):
+        masks = [works | works << (1 << k) for works in masks] + [(1 << (1 << k)) - 1]
+    return masks
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of mask, ascending."""
+    digits = bin(mask)[:1:-1]
+    found = []
+    k = digits.find("1")
+    while k >= 0:
+        found.append(k)
+        k = digits.find("1", k + 1)
+    return tuple(found)
 
 
 def _mask_to_state(mask: int, m: int) -> tuple[int, ...]:
     return tuple((mask >> j) & 1 for j in range(m))
 
 
-def _canonical_family(sets: Iterable[frozenset[int]]) -> list[tuple[int, ...]]:
+def _canonical(masks: Iterable[int]) -> list[tuple[int, ...]]:
     """Sorted member-index tuples, lexicographic by component index."""
-    return sorted(tuple(sorted(s)) for s in set(sets))
-
-
-def _minimalize(sets: Iterable[frozenset[int]]) -> set[frozenset[int]]:
-    """Drop duplicates and every set that strictly contains another."""
-    unique = set(sets)
-    return {s for s in unique if not any(o < s for o in unique)}
+    return sorted(_members(mask) for mask in masks)
 
 
 def minimal_cutsets(structure: SystemStructure) -> CutsetMatrix:
     """Reduce a structure to its inclusion-minimal cutsets, canonically ordered.
 
-    For truth-table input the minimal failed states are extracted by exhaustive
-    enumeration; for cutset input, duplicates and supersets are removed.
+    For truth-table input these are the failed states with no failed state one
+    component smaller; for cutset input, duplicates and supersets are removed.
     """
-    m = structure.m
     if structure.truth_table is not None:
         table = structure.truth_table
-        minimal = []
-        for mask in range(1, 1 << m):
-            if not table[mask]:
-                continue
-            # Minimal iff removing any single failed component repairs the system.
-            if all(table[mask & ~(1 << j)] == 0 for j in range(m) if mask & (1 << j)):
-                minimal.append(frozenset(j for j in range(m) if mask & (1 << j)))
-        if not minimal:
-            raise DegenerateStructure("structure has no failed states")
-        family = set(minimal)
+        covered = 0
+        for j, works in enumerate(_works_masks(structure.m)):
+            covered |= (table & works) << (1 << j)
+        family = _members(table & ~covered)
     else:
-        family = _minimalize(structure.cutsets)
-    ordered = _canonical_family(family)
-    return CutsetMatrix.from_index_sets(structure.component_names, ordered)
+        unique = {sum(1 << j for j in cut) for cut in structure.cutsets}
+        family = [a for a in unique if not any(b != a and a & b == b for b in unique)]
+    return CutsetMatrix.from_index_sets(structure.component_names, _canonical(family))
 
 
 def minimal_pathsets(cutsets: CutsetMatrix) -> tuple[tuple[int, ...], ...]:
     """All inclusion-minimal component sets intersecting every minimal cutset.
 
     These are the minimal path sets of the dual structure: keeping every
-    component of any one of them working guarantees system success.  Found by
-    branching over the elements of the first cutset not yet hit, pruning
-    branches already covered by a known hitting set, then filtering to the
-    inclusion-minimal family.  Exact; intended for the small s and m of this
-    domain.
+    component of any one of them working guarantees system success.  Computed
+    by Berge's sequential transversal algorithm on bitmasks: the minimal
+    transversals of the cutsets seen so far are carried to the next cutset C,
+    and each one p that misses C is extended to q = p | {j} for each j in C.
+    q is minimal exactly when every member of p has a private cutset, one that
+    meets q in that member alone (j has C).  Cutsets are taken smallest first,
+    which keeps the intermediate families small.
     """
-    rows = cutsets.row_sets()
-    found: set[frozenset[int]] = set()
+    paths = [0]
+    seen: list[int] = []
+    for cut in sorted(cutsets._masks, key=int.bit_count):
+        seen.append(cut)
+        bits = [1 << j for j in _members(cut)]
+        extended = [p for p in paths if p & cut]
+        for p in paths:
+            if not p & cut:
+                extended += [p | b for b in bits if _members_have_private_cuts(p, p | b, seen)]
+        paths = extended
+    return tuple(_canonical(paths))
 
-    def extend(chosen: frozenset[int]):
-        unhit = next((row for row in rows if not row & chosen), None)
-        if unhit is None:
-            found.add(chosen)
-            return
-        for j in sorted(unhit):
-            candidate = chosen | {j}
-            # A completion of candidate can only be a superset of a known
-            # hitting set, hence never minimal.
-            if any(h <= candidate for h in found):
-                continue
-            extend(candidate)
 
-    extend(frozenset())
-    if not found:
-        raise InternalInvariantError("no hitting set found for a nonempty cutset family")
-    return tuple(_canonical_family(_minimalize(found)))
+def _members_have_private_cuts(p: int, q: int, cuts: list[int]) -> bool:
+    """Whether each member of p is the only member of q in one of the cuts."""
+    private = 0
+    for cut in cuts:
+        shared = cut & q
+        if not shared & (shared - 1):  # at most one member
+            private |= shared
+    return not p & ~private
 
 
 def shortest_path_length(cutsets: CutsetMatrix) -> int:

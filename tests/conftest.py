@@ -111,6 +111,34 @@ def brute_force_minimal_hitting_sets(families, m):
     )
 
 
+def scan_monotonicity_witness(table, m):
+    """First (failed state, working superset) pair of a per-state scan.
+
+    States ascend, then the component added; None for a monotone table.
+    """
+    for mask in range(1 << m):
+        if not table[mask]:
+            continue
+        for j in range(m):
+            larger = mask | (1 << j)
+            if larger != mask and not table[larger]:
+                return mask, larger
+    return None
+
+
+def superset_table(cutsets, m):
+    """Bytes truth table of a cutset family: entry mask is 1 when mask covers a cutset."""
+    covered = 0
+    for cut in cutsets:
+        # Doubling over components: j in the cutset keeps only the upper
+        # half (j failed), any other j repeats the table in both halves.
+        table = b"\x01"
+        for j in range(m):
+            table = bytes(len(table)) + table if j in cut else table + table
+        covered |= int.from_bytes(table, "little")
+    return covered.to_bytes(1 << m, "little")
+
+
 def plan_minimum(rows, allocation):
     """Direct evaluation of the minimum cutset test total."""
     return min(sum(v * n for v, n in zip(row, allocation)) for row in rows)

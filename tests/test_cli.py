@@ -236,6 +236,28 @@ class TestCacheBehaviour:
         assert "corrupt" in caplog.text
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("extra", [(), ("--tests", "7")])
+    def test_entry_wrong_for_the_matrix_is_recomputed(self, tmp_path, capsys, caplog, extra):
+        from cutplan import FractionPlan
+        from cutplan.cache import PlanCache
+        from cutplan.documents import document_to_structure, parse_document
+        from cutplan.structure import minimal_cutsets
+
+        payload = {"schema_version": 1, "components": ["A", "B"], "cutsets": [["A"]]}
+        doc = write_doc(tmp_path, payload)
+        assert run_cli(tmp_path, doc, *extra, "--no-cache") == 0
+        expected = capsys.readouterr().out
+        structure = document_to_structure(parse_document(json.dumps(payload)))
+        digest = minimal_cutsets(structure).canonical_digest()
+        # Self-consistent (sums to 1, right lcm) but gives cutset {A} nothing.
+        cache = PlanCache(tmp_path / "cache")
+        path = cache.store(digest, FractionPlan(fractions=("0", "1"), cutset_fraction=1, n_zero=1))
+        with caplog.at_level(logging.WARNING):
+            assert run_cli(tmp_path, doc, *extra) == 0
+        assert capsys.readouterr().out == expected
+        assert "ignoring corrupt cache entry" in caplog.text
+        assert json.loads(path.read_text(encoding="utf-8"))["fractions"] == ["1", "0"]
+
     def test_env_var_cache_dir(self, tmp_path, monkeypatch, capsys):
         doc = write_doc(tmp_path, ASYM_DOC)
         target = tmp_path / "envcache"
@@ -298,3 +320,19 @@ class TestProcessEntryPoint:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["plan"]["n_min"] == 8000
+
+    def test_json_mode_stderr_is_one_object_per_line(self, tmp_path):
+        # A cache miss logs before the budget error; in JSON mode every
+        # stderr line, log and error alike, must parse on its own.
+        doc = write_doc(tmp_path, ASYM_DOC)
+        argv = [doc, "--tests", "3", "--format", "json", "--cache-dir", str(tmp_path / "cache")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cutplan.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 3
+        lines = [json.loads(line) for line in proc.stderr.splitlines()]
+        assert len(lines) >= 2
+        assert all(set(line) == {"log"} for line in lines[:-1])
+        assert {"level", "message"} == set(lines[0]["log"])
+        assert any("cached fraction plan" in line["log"]["message"] for line in lines[:-1])
+        assert lines[-1]["error"]["type"] == "BudgetTooSmall"

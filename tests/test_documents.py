@@ -107,6 +107,9 @@ class TestValidation:
         }
         with pytest.raises(InputError, match="bit string"):
             parse_document(json.dumps(payload))
+        payload["truth_table"] = [{"state": "02", "failed": 0}]
+        with pytest.raises(InputError, match="'02' is not a bit string"):
+            parse_document(json.dumps(payload))
 
     def test_missing_states(self):
         import json

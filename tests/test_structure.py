@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,9 @@ from conftest import (
     asymmetric_matrix,
     brute_force_minimal_hitting_sets,
     names,
+    scan_monotonicity_witness,
     series_matrix,
+    superset_table,
     two_of_three_matrix,
 )
 
@@ -84,6 +87,37 @@ class TestValidation:
         assert err.state_low == (1, 1, 0)
         assert err.state_high == (1, 1, 1)
 
+    def test_witness_matches_per_state_scan(self):
+        rng = random.Random(2604)
+        witnessed = 0
+        for trial in range(600):
+            m = rng.randint(1, 6)
+            if trial % 2:
+                table = [rng.randint(0, 1) for _ in range(1 << m)]
+            else:
+                # A weighted threshold function with a few states flipped.
+                weights = [rng.randint(0, 3) for _ in range(m)]
+                threshold = rng.randint(1, sum(weights) + 1)
+                table = [
+                    int(sum(w for j, w in enumerate(weights) if mask >> j & 1) >= threshold)
+                    for mask in range(1 << m)
+                ]
+                for _ in range(rng.randint(0, 2)):
+                    table[rng.randrange(1 << m)] ^= 1
+            try:
+                SystemStructure.from_truth_table(names(m), table)
+                found = None
+            except NonCoherentStructure as err:
+                found = (err.state_low, err.state_high)
+                witnessed += 1
+            except DegenerateStructure:
+                found = None
+            expected = scan_monotonicity_witness(table, m)
+            if expected is not None:
+                expected = tuple(tuple(mask >> j & 1 for j in range(m)) for mask in expected)
+            assert found == expected, table
+        assert witnessed > 200
+
     def test_constant_tables_rejected(self):
         with pytest.raises(DegenerateStructure):
             SystemStructure.from_truth_table(names(2), [0, 0, 0, 0])
@@ -103,8 +137,9 @@ class TestValidation:
             SystemStructure.from_cutsets(("A", "A"), [(0,)])
 
     def test_matrix_rows_must_be_incomparable(self):
-        with pytest.raises(InputError):
-            CutsetMatrix(names(2), ((1, 0), (1, 1)))
+        for rows in (((1, 0), (1, 1)), ((1, 1), (1, 0)), ((0, 1), (0, 1))):
+            with pytest.raises(InputError, match="incomparable"):
+                CutsetMatrix(names(2), rows)
 
     def test_zero_columns_reported(self):
         matrix = CutsetMatrix.from_index_sets(names(3), [(0,), (1,)])
@@ -190,3 +225,38 @@ class TestProperties:
                 expected = brute_force_minimal_hitting_sets(matrix.row_sets(), n)
                 assert shortest_path_length(matrix) == n - k + 1
                 assert min(len(p) for p in expected) == n - k + 1
+
+
+class TestLargeStructures:
+    def test_m20_truth_table_reduces_quickly(self):
+        rng = random.Random(2020)
+        family = set()
+        while len(family) < 14:
+            family.add(frozenset(rng.sample(range(20), rng.randint(2, 5))))
+        expected = sorted(tuple(sorted(c)) for c in family if not any(o < c for o in family))
+        table = superset_table(family, 20)
+        start = time.perf_counter()
+        matrix = minimal_cutsets(SystemStructure.from_truth_table(names(20), table))
+        elapsed = time.perf_counter() - start
+        assert [matrix.row_members(i) for i in range(matrix.s)] == expected
+        assert elapsed < 0.5
+
+    def test_m32_pathsets_are_distinct_minimal_hitting_sets(self):
+        rng = random.Random(3232)
+        family = []
+        while len(family) < 25:
+            cut = frozenset(rng.sample(range(32), rng.randint(2, 6)))
+            if all(not (cut <= o or o <= cut) for o in family):
+                family.append(cut)
+        matrix = CutsetMatrix.from_index_sets(names(32), sorted(tuple(sorted(c)) for c in family))
+        start = time.perf_counter()
+        paths = minimal_pathsets(matrix)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2
+        assert len(set(paths)) == len(paths)
+        cuts = [sum(1 << j for j in cut) for cut in family]
+        for path in paths:
+            hit = sum(1 << j for j in path)
+            assert all(hit & cut for cut in cuts), path
+            for j in path:
+                assert not all(hit & ~(1 << j) & cut for cut in cuts), (path, j)
