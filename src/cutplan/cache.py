@@ -58,7 +58,9 @@ class PlanCache:
                 n_zero=int(raw["n_zero"]),
                 multiple_optima=bool(raw["multiple_optima"]),
             )
-        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError, CutplanError) as exc:
+        except (
+            OSError, ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError, CutplanError
+        ) as exc:
             log.warning("ignoring corrupt cache entry %s: %s", path, exc)
             return None
 

@@ -116,10 +116,12 @@ def run(args: argparse.Namespace) -> PlanReport:
     structure = document_to_structure(doc)
     matrix = minimal_cutsets(structure)
     digest = matrix.canonical_digest()
+    # Before the fractions: a structure over PATHSET_LIMIT fails here,
+    # without a solve or a cache entry.
+    pathsets = minimal_pathsets(matrix)
 
     fp = _resolve_fractions(args, matrix, digest)
     path_check = shortest_path_check(fp, matrix)
-    pathsets = minimal_pathsets(matrix)
     shortest = min(pathsets, key=len)
 
     warnings = []
@@ -250,9 +252,36 @@ def _emit_error(exc: Exception, fmt: str):
         print("error: %s: %s" % (name, exc), file=sys.stderr)
 
 
+def _asks_for_json(argv) -> bool:
+    """Whether the last --format on a command line, parsed or not, is json.
+
+    Like argparse, this takes any prefix of --format longer than "--" (no
+    other option starts with "--f"), followed by its value or by "=value".
+    """
+    fmt = None
+    for arg, following in zip(argv, [*argv[1:], None]):
+        flag, eq, value = arg.partition("=")
+        if len(flag) > 2 and "--format".startswith(flag):
+            fmt = value if eq else following
+    return fmt == "json"
+
+
+def _raise_usage_error(message):
+    raise InputError(message)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if _asks_for_json(argv):
+        # Usage errors come back as InputError and are reported as JSON
+        # below; in text mode argparse prints its usage as always.
+        parser.error = _raise_usage_error
+    try:
+        args = parser.parse_args(argv)
+    except InputError as exc:
+        _emit_error(exc, "json")
+        return EXIT_INPUT
     # basicConfig does nothing when the caller has already set up logging.
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(_JsonLogFormatter() if args.format == "json" else logging.Formatter("%(message)s"))

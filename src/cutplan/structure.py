@@ -22,6 +22,13 @@ from .errors import DegenerateStructure, InputError, NonCoherentStructure
 # 2^m table is no longer reasonable and callers must supply cutsets directly.
 TRUTH_TABLE_MAX_COMPONENTS = 20
 
+# Most minimal transversals minimal_pathsets carries from one cutset to the
+# next; beyond it the request fails with InputError instead of running for
+# minutes.  The family doubles with each disjoint cutset pair, and its peak is
+# 55 on the benchmark's replan catalog and 26,313 on a seeded m=32 family of
+# 25 cutsets (the largest the tests plan).
+PATHSET_LIMIT = 50_000
+
 # Byte values 0/1 to the ASCII digits that int(..., 2) reads.
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
@@ -51,9 +58,10 @@ class SystemStructure:
     """Coherent structure function over m components.
 
     Exactly one of ``cutsets`` / ``truth_table`` is set.  ``cutsets`` holds
-    component-index sets; failure of all components in any one of them fails
-    the system.  ``truth_table`` is phi as one int of 2^m bits: bit ``mask``
-    is phi(mask), where bit j of mask is set when component j has failed.
+    component masks (bit j for component j), each nonzero and below 2^m;
+    failure of all components in any one of them fails the system.
+    ``truth_table`` is phi as one int of 2^m bits: bit ``mask`` is phi(mask),
+    where bit j of mask is set when component j has failed.
 
     Instances are validated on construction: truth tables must be monotone
     (witnessed ``NonCoherentStructure`` otherwise) and non-constant, so every
@@ -61,7 +69,7 @@ class SystemStructure:
     """
 
     component_names: tuple[str, ...]
-    cutsets: tuple[frozenset[int], ...] | None = None
+    cutsets: tuple[int, ...] | None = None
     truth_table: int | None = None
 
     def __post_init__(self):
@@ -81,8 +89,14 @@ class SystemStructure:
     @classmethod
     def from_cutsets(cls, component_names: Sequence[str], cutsets: Iterable[Iterable[int]]) -> "SystemStructure":
         """Build from cutsets given as iterables of component indices."""
-        sets = tuple(frozenset(c) for c in cutsets)
-        return cls(tuple(component_names), cutsets=sets)
+        names = tuple(component_names)
+        masks = []
+        for cut in cutsets:
+            members = set(cut)
+            if not all(isinstance(j, int) and 0 <= j < len(names) for j in members):
+                raise InputError("cutset members must be component indices in range")
+            masks.append(sum(1 << j for j in members))
+        return cls(names, cutsets=tuple(masks))
 
     @classmethod
     def from_truth_table(cls, component_names: Sequence[str], table: Sequence[int]) -> "SystemStructure":
@@ -97,14 +111,10 @@ class SystemStructure:
         return cls(names, truth_table=int(digits, 2))
 
     def _validate_cutsets(self):
-        m = self.m
         if not self.cutsets:
             raise DegenerateStructure("no cutsets given: the system can never fail")
-        for cut in self.cutsets:
-            if not cut:
-                raise InputError("cutsets must be nonempty component sets")
-            if not all(isinstance(j, int) and 0 <= j < m for j in cut):
-                raise InputError("cutset members must be component indices in range")
+        if not all(isinstance(cut, int) and 0 < cut < 1 << self.m for cut in self.cutsets):
+            raise InputError("cutsets must be nonempty component sets")
 
     def _validate_truth_table(self):
         m = self.m
@@ -245,7 +255,7 @@ def minimal_cutsets(structure: SystemStructure) -> CutsetMatrix:
             covered |= (table & works) << (1 << j)
         family = _members(table & ~covered)
     else:
-        unique = {sum(1 << j for j in cut) for cut in structure.cutsets}
+        unique = set(structure.cutsets)
         family = [a for a in unique if not any(b != a and a & b == b for b in unique)]
     return CutsetMatrix.from_index_sets(structure.component_names, _canonical(family))
 
@@ -260,7 +270,8 @@ def minimal_pathsets(cutsets: CutsetMatrix) -> tuple[tuple[int, ...], ...]:
     and each one p that misses C is extended to q = p | {j} for each j in C.
     q is minimal exactly when every member of p has a private cutset, one that
     meets q in that member alone (j has C).  Cutsets are taken smallest first,
-    which keeps the intermediate families small.
+    which keeps the intermediate families small.  A family larger than
+    ``PATHSET_LIMIT`` raises InputError.
     """
     paths = [0]
     seen: list[int] = []
@@ -271,6 +282,11 @@ def minimal_pathsets(cutsets: CutsetMatrix) -> tuple[tuple[int, ...], ...]:
         for p in paths:
             if not p & cut:
                 extended += [p | b for b in bits if _members_have_private_cuts(p, p | b, seen)]
+                if len(extended) > PATHSET_LIMIT:
+                    raise InputError(
+                        "too many minimal pathsets: the %d smallest minimal cutsets alone "
+                        "have more than %d (PATHSET_LIMIT)" % (len(seen), PATHSET_LIMIT)
+                    )
         paths = extended
     return tuple(_canonical(paths))
 

@@ -5,6 +5,7 @@ import logging
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -171,6 +172,55 @@ class TestExitCodes:
         assert "BudgetTooSmall" in err
         assert "5" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            json.dumps({"schema_version": 1, "components": ["A"], "cutsets": [[["A"]]]}).encode(),
+            b"[" * 200000,
+            b'{"schema_version": 1, "components": ["\xff"], "cutsets": [["\xff"]]}',
+        ],
+        ids=["unhashable-label", "deep-nesting", "not-utf8"],
+    )
+    def test_malformed_document_is_an_input_error(self, tmp_path, capsys, content):
+        path = tmp_path / "structure.json"
+        path.write_bytes(content)
+        assert run_cli(tmp_path, str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: InputError: ")
+
+    def test_too_many_pathsets_is_an_input_error(self, tmp_path, capsys):
+        # 20 disjoint pairs have 2^20 minimal pathsets.
+        payload = {
+            "schema_version": 1,
+            "components": ["C%d" % j for j in range(40)],
+            "cutsets": [["C%d" % j, "C%d" % (j + 1)] for j in range(0, 40, 2)],
+        }
+        doc = write_doc(tmp_path, payload)
+        start = time.perf_counter()
+        assert run_cli(tmp_path, doc, "--tests", "100") == 2
+        assert time.perf_counter() - start < 2
+        assert "more than 50000 (PATHSET_LIMIT)" in capsys.readouterr().err
+        assert not (tmp_path / "cache").exists()
+
+    def test_json_usage_error(self, tmp_path, capsys):
+        doc = write_doc(tmp_path, ASYM_DOC)
+        for argv in (
+            [doc, "--format", "json", "--tests", "abc"],
+            [doc, "--tests=abc", "--format=json"],
+            [doc, "--form", "json", "--tests", "abc"],
+            [doc, "--format", "text", "--tests", "abc", "--fo=json"],
+        ):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert json.loads(err) == {
+                "error": {"type": "InputError", "message": "argument --tests: invalid int value: 'abc'"}
+            }
+        for argv in ([doc, "--tests", "abc"], [doc, "--format", "json", "--tests", "abc", "--format", "text"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(argv)
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: cutplan")
+
     def test_json_error_format(self, tmp_path, capsys):
         doc = write_doc(tmp_path, ASYM_DOC)
         assert run_cli(tmp_path, doc, "--tests", "3", "--format", "json") == 3
@@ -257,6 +307,21 @@ class TestCacheBehaviour:
         assert capsys.readouterr().out == expected
         assert "ignoring corrupt cache entry" in caplog.text
         assert json.loads(path.read_text(encoding="utf-8"))["fractions"] == ["1", "0"]
+
+    def test_deeply_nested_entry_recomputed(self, tmp_path, capsys, caplog):
+        doc = write_doc(tmp_path, ASYM_DOC)
+        assert run_cli(tmp_path, doc, "--tests", "20003", "--no-cache") == 0
+        expected = capsys.readouterr().out
+        assert run_cli(tmp_path, doc, "--tests", "20003") == 0
+        capsys.readouterr()
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        stored = entry.read_bytes()
+        entry.write_text("[" * 200000, encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            assert run_cli(tmp_path, doc, "--tests", "20003") == 0
+        assert capsys.readouterr().out == expected
+        assert "ignoring corrupt cache entry" in caplog.text
+        assert entry.read_bytes() == stored
 
     def test_env_var_cache_dir(self, tmp_path, monkeypatch, capsys):
         doc = write_doc(tmp_path, ASYM_DOC)

@@ -1,51 +1,44 @@
-"""Structure document parsing, serialization, and validation."""
+"""Structure documents: envelope checks, content checks, and the structures they read into."""
+
+import json
+import random
 
 import pytest
 
-from cutplan import InputError, minimal_cutsets
-from cutplan.documents import (
-    StructureDocument,
-    document_to_structure,
-    parse_document,
-    serialize_document,
+from cutplan import (
+    DegenerateStructure,
+    InputError,
+    NonCoherentStructure,
+    SystemStructure,
+    minimal_cutsets,
 )
+from cutplan.documents import document_to_structure, parse_document
+
+from conftest import names, scan_monotonicity_witness
 
 
-def cutset_doc():
-    return StructureDocument(
-        schema_version=1,
-        components=("C1", "C2", "C3", "C4", "C5"),
-        cutsets=(("C1", "C2"), ("C2", "C3"), ("C1", "C3", "C4"), ("C5",)),
-        metadata={"name": "asymmetric five-component demo"},
-    )
+def read(payload):
+    """The structure of a document given as its JSON payload."""
+    return document_to_structure(parse_document(json.dumps(payload)))
+
+
+def state_string(mask, m):
+    """Character k is bit k of mask."""
+    return "".join("1" if mask >> k & 1 else "0" for k in range(m))
+
+
+def truth_table_doc(table, m, order=None):
+    """A truth-table document listing table[mask] for each mask, in the given order."""
+    order = range(1 << m) if order is None else order
+    return {
+        "schema_version": 1,
+        "components": list(names(m)),
+        "truth_table": [{"state": state_string(mask, m), "failed": table[mask]} for mask in order],
+    }
 
 
 def two_of_three_doc():
-    entries = []
-    for mask in range(8):
-        state = "".join("1" if mask >> k & 1 else "0" for k in range(3))
-        entries.append((state, 1 if bin(mask).count("1") >= 2 else 0))
-    return StructureDocument(
-        schema_version=1,
-        components=("C1", "C2", "C3"),
-        truth_table=tuple(entries),
-    )
-
-
-class TestRoundTrip:
-    def test_cutset_document(self):
-        doc = cutset_doc()
-        assert parse_document(serialize_document(doc)) == doc
-
-    def test_truth_table_document(self):
-        doc = two_of_three_doc()
-        assert parse_document(serialize_document(doc)) == doc
-
-    def test_without_metadata(self):
-        doc = StructureDocument(
-            schema_version=1, components=("A", "B"), cutsets=(("A", "B"),)
-        )
-        assert parse_document(serialize_document(doc)) == doc
+    return truth_table_doc([1 if bin(mask).count("1") >= 2 else 0 for mask in range(8)], 3)
 
 
 class TestValidation:
@@ -56,9 +49,7 @@ class TestValidation:
             "cutsets": [["C1"], ["C2"]],
         }
         payload.update(overrides)
-        import json
-
-        return json.dumps(payload)
+        return payload
 
     def test_not_json(self):
         with pytest.raises(InputError, match="not valid JSON"):
@@ -66,54 +57,63 @@ class TestValidation:
 
     def test_wrong_schema_version(self):
         with pytest.raises(InputError, match="schema_version"):
-            parse_document(self.base(schema_version=2))
+            read(self.base(schema_version=2))
 
     def test_unknown_field(self):
         with pytest.raises(InputError, match="unknown"):
-            parse_document(self.base(extra=1))
+            read(self.base(extra=1))
 
     def test_duplicate_components(self):
         with pytest.raises(InputError, match="unique"):
-            parse_document(self.base(components=["C1", "C1"]))
+            read(self.base(components=["C1", "C1"]))
 
     def test_unknown_cutset_label(self):
         with pytest.raises(InputError, match="not a declared component"):
-            parse_document(self.base(cutsets=[["C9"]]))
+            read(self.base(cutsets=[["C9"]]))
+        with pytest.raises(InputError, match=r"label \['C1'\] is not a declared component"):
+            read(self.base(cutsets=[[["C1"]]]))
 
     def test_repeated_label_in_cutset(self):
         with pytest.raises(InputError, match="repeats"):
-            parse_document(self.base(cutsets=[["C1", "C1"]]))
+            read(self.base(cutsets=[["C1", "C1"]]))
 
     def test_both_definitions(self):
         with pytest.raises(InputError, match="exactly one"):
-            parse_document(
-                self.base(truth_table=[{"state": "00", "failed": 0}])
-            )
+            read(self.base(truth_table=[{"state": "00", "failed": 0}]))
 
     def test_neither_definition(self):
-        import json
-
         payload = {"schema_version": 1, "components": ["C1"]}
         with pytest.raises(InputError, match="exactly one"):
-            parse_document(json.dumps(payload))
+            read(payload)
+
+    def test_metadata_is_an_optional_object(self):
+        assert read(self.base(metadata=None)) == read(self.base())
+        assert read(self.base(metadata={"any": [1, "x"]})) == read(self.base())
+        with pytest.raises(InputError, match="metadata must be an object"):
+            read(self.base(metadata=[]))
 
     def test_bad_bit_string(self):
-        import json
-
         payload = {
             "schema_version": 1,
             "components": ["C1", "C2"],
             "truth_table": [{"state": "0", "failed": 0}],
         }
         with pytest.raises(InputError, match="bit string"):
-            parse_document(json.dumps(payload))
+            read(payload)
         payload["truth_table"] = [{"state": "02", "failed": 0}]
         with pytest.raises(InputError, match="'02' is not a bit string"):
-            parse_document(json.dumps(payload))
+            read(payload)
+
+    def test_failed_flag_is_0_or_1(self):
+        series = [0, 1, 1, 1]
+        expected = read(truth_table_doc(series, 2)).truth_table
+        for bad in (2, "1", None, [1]):
+            with pytest.raises(InputError, match="failed flag must be 0 or 1"):
+                read(truth_table_doc(series[:3] + [bad], 2))
+        # JSON true and 1.0 equal 1, as they did when flags were counted.
+        assert read(truth_table_doc([False, True, 1.0, True], 2)).truth_table == expected
 
     def test_missing_states(self):
-        import json
-
         payload = {
             "schema_version": 1,
             "components": ["C1", "C2"],
@@ -123,11 +123,9 @@ class TestValidation:
             ],
         }
         with pytest.raises(InputError, match="lists 2 of the 4"):
-            parse_document(json.dumps(payload))
+            read(payload)
 
     def test_duplicate_state(self):
-        import json
-
         payload = {
             "schema_version": 1,
             "components": ["C1"],
@@ -137,20 +135,28 @@ class TestValidation:
             ],
         }
         with pytest.raises(InputError, match="more than once"):
-            parse_document(json.dumps(payload))
+            read(payload)
+
+    def test_too_deeply_nested(self):
+        with pytest.raises(InputError, match="nests too deeply"):
+            parse_document("[" * 200000)
+
+    def test_integer_beyond_the_conversion_limit(self):
+        with pytest.raises(InputError, match="not valid JSON"):
+            parse_document('{"schema_version": %s}' % ("1" * 5000))
 
 
 class TestToStructure:
     def test_equivalent_inputs_reduce_to_same_matrix(self):
         # The same system as a truth table and as a cutset list.
-        as_table = minimal_cutsets(document_to_structure(two_of_three_doc()))
+        as_table = minimal_cutsets(read(two_of_three_doc()))
         as_sets = minimal_cutsets(
-            document_to_structure(
-                StructureDocument(
-                    schema_version=1,
-                    components=("C1", "C2", "C3"),
-                    cutsets=(("C2", "C3"), ("C1", "C2"), ("C1", "C3")),
-                )
+            read(
+                {
+                    "schema_version": 1,
+                    "components": ["C1", "C2", "C3"],
+                    "cutsets": [["C2", "C3"], ["C1", "C2"], ["C1", "C3"]],
+                }
             )
         )
         assert as_table.canonical_digest() == as_sets.canonical_digest()
@@ -158,10 +164,61 @@ class TestToStructure:
 
     def test_bit_string_orientation(self):
         # Character k of a state string is the state of components[k].
-        doc = StructureDocument(
-            schema_version=1,
-            components=("A", "B"),
-            truth_table=(("00", 0), ("10", 1), ("01", 0), ("11", 1)),
-        )
-        matrix = minimal_cutsets(document_to_structure(doc))
+        doc = {
+            "schema_version": 1,
+            "components": ["A", "B"],
+            "truth_table": [
+                {"state": state, "failed": failed}
+                for state, failed in (("00", 0), ("10", 1), ("01", 0), ("11", 1))
+            ],
+        }
+        matrix = minimal_cutsets(read(doc))
         assert matrix.rows == ((1, 0),)
+
+    def test_cutsets_read_as_masks(self):
+        doc = {
+            "schema_version": 1,
+            "components": ["A", "B", "C"],
+            "cutsets": [["C", "A"], ["B"], ["A", "B", "C"]],
+        }
+        assert read(doc).cutsets == (0b101, 0b010, 0b111)
+        assert read(doc) == SystemStructure.from_cutsets(["A", "B", "C"], [(2, 0), (1,), (0, 1, 2)])
+
+    def test_random_tables_in_shuffled_order(self):
+        # The reader agrees with from_truth_table on the flags in mask order:
+        # the same int for a monotone table, the per-state scan's witness
+        # for a non-monotone one.
+        rng = random.Random(4404)
+        witnessed = monotone = 0
+        for trial in range(300):
+            m = rng.randint(1, 7)
+            if trial % 3 == 0:
+                table = [rng.randint(0, 1) for _ in range(1 << m)]
+            else:
+                # A weighted threshold function, with one state flipped in half of them.
+                weights = [rng.randint(1, 3) for _ in range(m)]
+                threshold = rng.randint(1, sum(weights))
+                table = [
+                    int(sum(w for j, w in enumerate(weights) if mask >> j & 1) >= threshold)
+                    for mask in range(1 << m)
+                ]
+                if trial % 3 == 1:
+                    table[rng.randrange(1 << m)] ^= 1
+            order = list(range(1 << m))
+            rng.shuffle(order)
+            doc = truth_table_doc(table, m, order)
+            witness = scan_monotonicity_witness(table, m)
+            if witness is not None:
+                witnessed += 1
+                with pytest.raises(NonCoherentStructure) as excinfo:
+                    read(doc)
+                low, high = (tuple(mask >> j & 1 for j in range(m)) for mask in witness)
+                assert (excinfo.value.state_low, excinfo.value.state_high) == (low, high)
+            elif not table[0] and table[-1]:
+                monotone += 1
+                expected = SystemStructure.from_truth_table(names(m), table)
+                assert read(doc).truth_table == expected.truth_table
+            else:
+                with pytest.raises(DegenerateStructure):
+                    read(doc)
+        assert witnessed >= 100 and monotone >= 100

@@ -132,6 +132,15 @@ class TestValidation:
         with pytest.raises(InputError, match="limited to 20"):
             SystemStructure.from_truth_table(names(21), [0])
 
+    def test_cutset_members_in_range(self):
+        with pytest.raises(InputError, match="in range"):
+            SystemStructure.from_cutsets(names(2), [(0,), (2,)])
+        with pytest.raises(InputError, match="nonempty component sets"):
+            SystemStructure.from_cutsets(names(2), [(0,), ()])
+        for mask in (0b100, 0, -1, frozenset({0})):
+            with pytest.raises(InputError, match="nonempty component sets"):
+                SystemStructure(names(2), cutsets=(0b01, mask))
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(InputError):
             SystemStructure.from_cutsets(("A", "A"), [(0,)])
