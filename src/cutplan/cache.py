@@ -52,11 +52,15 @@ class PlanCache:
                 raise ValueError("unsupported entry_version %r" % raw["entry_version"])
             if raw["digest"] != digest:
                 raise ValueError("entry digest does not match its file name")
+            # Read as stored, not coerced: bool("false") would be True.
+            n_zero, multiple_optima = raw["n_zero"], raw["multiple_optima"]
+            if type(n_zero) is not int or type(multiple_optima) is not bool:
+                raise ValueError("n_zero must be a JSON integer and multiple_optima a JSON bool")
             return FractionPlan(
                 fractions=tuple(Fraction(f) for f in raw["fractions"]),
                 cutset_fraction=Fraction(raw["cutset_fraction"]),
-                n_zero=int(raw["n_zero"]),
-                multiple_optima=bool(raw["multiple_optima"]),
+                n_zero=n_zero,
+                multiple_optima=multiple_optima,
             )
         except (
             OSError, ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError, CutplanError

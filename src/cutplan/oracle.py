@@ -53,7 +53,7 @@ def brute_force_plan(
     rows = cutsets.rows
     # A row can still gain tests while components up to its largest member
     # remain unassigned.
-    row_max = [max(j for j, v in enumerate(row) if v) for row in rows]
+    row_max = [row.bit_length() - 1 for row in rows]
 
     best = -1
     witnesses: list[tuple[int, ...]] = []
@@ -74,7 +74,7 @@ def brute_force_plan(
     def assign(j: int, remaining: int):
         if j == m - 1:
             prefix[j] = remaining
-            touched = [i for i, row in enumerate(rows) if row[j]]
+            touched = [i for i, row in enumerate(rows) if row >> j & 1]
             for i in touched:
                 row_sums[i] += remaining
             leaf()
@@ -88,7 +88,7 @@ def brute_force_plan(
         )
         if reachable < best:
             return
-        touched = [i for i, row in enumerate(rows) if row[j]]
+        touched = [i for i, row in enumerate(rows) if row >> j & 1]
         for value in range(remaining + 1):
             prefix[j] = value
             for i in touched:

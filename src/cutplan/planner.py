@@ -15,7 +15,6 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from typing import Sequence
 
 from .errors import (
@@ -120,7 +119,8 @@ class PathStrategyCheck:
 
 def optimize_fractions(cutsets: CutsetMatrix) -> FractionPlan:
     """Solve the continuous relaxation exactly and return the optimal fractions."""
-    problem = LpProblem(cost=(1,) * cutsets.m, constraint_matrix=cutsets.rows, rhs=(1,) * cutsets.s)
+    rows = tuple(tuple(row >> j & 1 for j in range(cutsets.m)) for row in cutsets.rows)
+    problem = LpProblem(cost=(1,) * cutsets.m, constraint_matrix=rows, rhs=(1,) * cutsets.s)
     solution = solve_lp(problem)
     if solution.status != OPTIMAL:
         # h = (1,...,1) is always feasible (every row has a member) and the
@@ -177,7 +177,7 @@ def min_cutset_tests(cutsets: CutsetMatrix, n: Sequence[int]) -> int:
         raise InputError("allocation length must match the number of components")
     if any(v < 0 for v in n):
         raise InputError("test counts must be nonnegative")
-    return min(sum(compress(n, row)) for row in cutsets.rows)
+    return min(sum(n[j] for j in cutsets.row_members(i)) for i in range(cutsets.s))
 
 
 def integer_plan(

@@ -161,14 +161,7 @@ class PlanReport:
                     else "left unallocated"
                 )
                 lines.append("  remainder: %d tests %s" % (plan.remainder, how))
-            for name, count in zip(self.component_names, plan.n):
-                lines.append("  %-*s  %d" % (width, name, count))
-            lines.append("  minimum tests over any cutset: %d" % plan.n_min)
-        if self.bound is not None:
-            lines.append(
-                "  pfd upper bound at alpha %s: %s"
-                % (decimal12(self.bound.alpha), decimal12(self.bound.q_upper))
-            )
+            lines += self._allocation_lines(plan, self.bound, width)
         if self.path_strategy_n_min is not None:
             lines.append(
                 "  single-shortest-path strategy would guarantee only %d"
@@ -179,14 +172,7 @@ class PlanReport:
             plan = self.plus_plan
             lines.append("")
             lines.append("plan for the next integer-exact total (%d tests):" % plan.n_minus)
-            for name, count in zip(self.component_names, plan.n):
-                lines.append("  %-*s  %d" % (width, name, count))
-            lines.append("  minimum tests over any cutset: %d" % plan.n_min)
-            if self.plus_bound is not None:
-                lines.append(
-                    "  pfd upper bound at alpha %s: %s"
-                    % (decimal12(self.plus_bound.alpha), decimal12(self.plus_bound.q_upper))
-                )
+            lines += self._allocation_lines(plan, self.plus_bound, width)
 
         if self.audit is not None:
             lines.append("")
@@ -212,6 +198,16 @@ class PlanReport:
         else:
             lines.append("warnings: none")
         return "\n".join(lines) + "\n"
+
+    def _allocation_lines(self, plan: IntegerPlan, bound: BoundResult | None, width: int) -> list[str]:
+        """Per-component counts, the cutset minimum and the pfd bound of one plan."""
+        lines = ["  %-*s  %d" % (width, name, count) for name, count in zip(self.component_names, plan.n)]
+        lines.append("  minimum tests over any cutset: %d" % plan.n_min)
+        if bound is not None:
+            lines.append(
+                "  pfd upper bound at alpha %s: %s" % (decimal12(bound.alpha), decimal12(bound.q_upper))
+            )
+        return lines
 
 
 def _plan_dict(plan: IntegerPlan | None) -> dict | None:

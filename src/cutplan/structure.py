@@ -6,14 +6,15 @@ combination of failed components x brings the whole system down.  Structures
 are given either as an explicit truth table or as a list of cutsets; both
 reduce to the canonical incidence matrix of inclusion-minimal cutsets that the
 planner operates on.  Sets of components are int bitmasks (bit j for
-component j), and a truth table is one int of 2^m bits: bit ``mask`` is phi(mask).
+component j) everywhere, the rows of that matrix included, and a truth table
+is one int of 2^m bits: bit ``mask`` is phi(mask).
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DegenerateStructure, InputError, NonCoherentStructure
@@ -43,6 +44,23 @@ def _check_component_names(names: Sequence[str]) -> tuple[str, ...]:
     if len(set(names)) != len(names):
         raise InputError("component labels must be unique")
     return names
+
+
+def _check_masks(masks: tuple, m: int):
+    """Each mask must be a nonempty set of the m components: an int with 0 < mask < 2^m."""
+    if not all(isinstance(mask, int) and 0 < mask < 1 << m for mask in masks):
+        raise InputError("cutsets must be nonempty component sets")
+
+
+def _index_masks(sets: Iterable[Iterable[int]], m: int) -> tuple[int, ...]:
+    """Component masks of sets given as iterables of component indices 0..m-1."""
+    masks = []
+    for members in sets:
+        members = set(members)
+        if not all(isinstance(j, int) and 0 <= j < m for j in members):
+            raise InputError("cutset members must be component indices in range")
+        masks.append(sum(1 << j for j in members))
+    return tuple(masks)
 
 
 def _check_truth_table_size(m: int):
@@ -89,14 +107,7 @@ class SystemStructure:
     @classmethod
     def from_cutsets(cls, component_names: Sequence[str], cutsets: Iterable[Iterable[int]]) -> "SystemStructure":
         """Build from cutsets given as iterables of component indices."""
-        names = tuple(component_names)
-        masks = []
-        for cut in cutsets:
-            members = set(cut)
-            if not all(isinstance(j, int) and 0 <= j < len(names) for j in members):
-                raise InputError("cutset members must be component indices in range")
-            masks.append(sum(1 << j for j in members))
-        return cls(names, cutsets=tuple(masks))
+        return cls(component_names, cutsets=_index_masks(cutsets, len(component_names)))
 
     @classmethod
     def from_truth_table(cls, component_names: Sequence[str], table: Sequence[int]) -> "SystemStructure":
@@ -113,8 +124,7 @@ class SystemStructure:
     def _validate_cutsets(self):
         if not self.cutsets:
             raise DegenerateStructure("no cutsets given: the system can never fail")
-        if not all(isinstance(cut, int) and 0 < cut < 1 << self.m for cut in self.cutsets):
-            raise InputError("cutsets must be nonempty component sets")
+        _check_masks(self.cutsets, self.m)
 
     def _validate_truth_table(self):
         m = self.m
@@ -139,37 +149,28 @@ class SystemStructure:
 
 @dataclass(frozen=True)
 class CutsetMatrix:
-    """0/1 incidence matrix of the minimal cutsets: one row per cutset.
+    """Incidence matrix of the minimal cutsets, one component mask per row.
 
-    Entry (i, j) is 1 when component j belongs to minimal cutset i.  Rows are
-    pairwise distinct and incomparable under the subset order.  A column of
-    zeros is legal (a component irrelevant to system failure) and is surfaced
-    via :meth:`zero_columns`.
+    Bit j of ``rows[i]`` is set when component j belongs to minimal cutset i,
+    so row i is the 0/1 matrix row read as a binary number, component 0
+    lowest.  Rows are nonzero, below 2^m, pairwise distinct and incomparable
+    under the subset order.  A component in no row is legal (irrelevant to
+    system failure) and is surfaced via :meth:`zero_columns`.
     """
 
     component_names: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
-    # Row i as a component bitmask; derived from ``rows``.
-    _masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    rows: tuple[int, ...]
 
     def __post_init__(self):
         names = _check_component_names(self.component_names)
         object.__setattr__(self, "component_names", names)
-        m = len(names)
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        rows = tuple(self.rows)
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise InputError("cutset matrix needs at least one row")
-        if any(len(row) != m for row in rows):
-            raise InputError("every matrix row must have one entry per component")
-        if not set(itertools.chain.from_iterable(rows)) <= {0, 1}:
-            raise InputError("matrix entries must be 0 or 1")
-        masks = tuple(int("".join(map(str, reversed(row))), 2) for row in rows)
-        if not all(masks):
-            raise InputError("every cutset row needs at least one member")
-        if any(a & b in (a, b) for a, b in itertools.combinations(masks, 2)):
+        _check_masks(rows, len(names))
+        if any(a & b in (a, b) for a, b in itertools.combinations(rows, 2)):
             raise InputError("cutset rows must be distinct and pairwise incomparable")
-        object.__setattr__(self, "_masks", masks)
 
     @property
     def s(self) -> int:
@@ -181,31 +182,25 @@ class CutsetMatrix:
 
     @classmethod
     def from_index_sets(cls, component_names: Sequence[str], sets: Iterable[Iterable[int]]) -> "CutsetMatrix":
-        names = tuple(component_names)
-        rows = []
-        for members in sets:
-            row = [0] * len(names)
-            for j in members:
-                row[j] = 1
-            rows.append(tuple(row))
-        return cls(names, tuple(rows))
+        """Build from rows given as iterables of component indices."""
+        return cls(component_names, _index_masks(sets, len(component_names)))
 
     def row_members(self, i: int) -> tuple[int, ...]:
         """Component indices of cutset i, ascending."""
-        return _members(self._masks[i])
-
-    def row_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(_members(mask)) for mask in self._masks)
+        return _members(self.rows[i])
 
     def zero_columns(self) -> tuple[int, ...]:
         """Indices of components that appear in no minimal cutset."""
-        return tuple(j for j in range(self.m) if all(row[j] == 0 for row in self.rows))
+        used = 0
+        for row in self.rows:
+            used |= row
+        return _members(((1 << self.m) - 1) & ~used)
 
     def canonical_digest(self) -> str:
         """Hex digest identifying the matrix independent of row order and labels."""
         payload = "m=%d;rows=%s" % (
             self.m,
-            "|".join(",".join(map(str, key)) for key in _canonical(self._masks)),
+            "|".join(",".join(map(str, key)) for key in _canonical(self.rows)),
         )
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
@@ -257,7 +252,7 @@ def minimal_cutsets(structure: SystemStructure) -> CutsetMatrix:
     else:
         unique = set(structure.cutsets)
         family = [a for a in unique if not any(b != a and a & b == b for b in unique)]
-    return CutsetMatrix.from_index_sets(structure.component_names, _canonical(family))
+    return CutsetMatrix(structure.component_names, tuple(sorted(family, key=_members)))
 
 
 def minimal_pathsets(cutsets: CutsetMatrix) -> tuple[tuple[int, ...], ...]:
@@ -275,7 +270,7 @@ def minimal_pathsets(cutsets: CutsetMatrix) -> tuple[tuple[int, ...], ...]:
     """
     paths = [0]
     seen: list[int] = []
-    for cut in sorted(cutsets._masks, key=int.bit_count):
+    for cut in sorted(cutsets.rows, key=int.bit_count):
         seen.append(cut)
         bits = [1 << j for j in _members(cut)]
         extended = [p for p in paths if p & cut]

@@ -140,5 +140,5 @@ def superset_table(cutsets, m):
 
 
 def plan_minimum(rows, allocation):
-    """Direct evaluation of the minimum cutset test total."""
-    return min(sum(v * n for v, n in zip(row, allocation)) for row in rows)
+    """Direct evaluation of the minimum cutset test total over mask rows."""
+    return min(sum(n for j, n in enumerate(allocation) if row >> j & 1) for row in rows)

@@ -98,6 +98,25 @@ class TestGoldenRuns:
         assert report["plus_plan"]["n"] == [4001, 4001, 4001, 0, 8002]
         assert report["plus_plan"]["n_min"] == 8002
 
+    def test_plus_plan_text_report(self, tmp_path, capsys):
+        # Both plans render their counts, minimum and bound the same way.
+        doc = write_doc(tmp_path, ASYM_DOC)
+        assert run_cli(tmp_path, doc, "--tests", "20003", "--plus") == 0
+        out = capsys.readouterr().out
+        plan, plus = out.split("\n\ninteger plan for 20003 requested tests:\n")[1].split("\n\n")[:2]
+        assert plan.splitlines()[2:] == [
+            *("  C%d  %d" % (j + 1, n) for j, n in enumerate((4000, 4000, 4000, 0, 8000))),
+            "  minimum tests over any cutset: 8000",
+            "  pfd upper bound at alpha 0.05: 0.000374466534194",
+            "  single-shortest-path strategy would guarantee only 6667",
+        ]
+        assert plus.splitlines() == [
+            "plan for the next integer-exact total (20005 tests):",
+            *("  C%d  %d" % (j + 1, n) for j, n in enumerate((4001, 4001, 4001, 0, 8002))),
+            "  minimum tests over any cutset: 8002",
+            "  pfd upper bound at alpha 0.05: 0.000374372940959",
+        ]
+
     def test_distribute_remainder(self, tmp_path, capsys):
         doc = write_doc(tmp_path, ASYM_DOC)
         code = run_cli(
@@ -307,6 +326,26 @@ class TestCacheBehaviour:
         assert capsys.readouterr().out == expected
         assert "ignoring corrupt cache entry" in caplog.text
         assert json.loads(path.read_text(encoding="utf-8"))["fractions"] == ["1", "0"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("multiple_optima", "false"), ("multiple_optima", 0), ("n_zero", "5"), ("n_zero", 5.0)],
+    )
+    def test_entry_fields_are_not_coerced(self, tmp_path, capsys, caplog, field, value):
+        # bool("false") is True: a coerced read reported alternative optima.
+        doc = write_doc(tmp_path, ASYM_DOC)
+        assert run_cli(tmp_path, doc, "--tests", "20003", "--no-cache") == 0
+        expected = capsys.readouterr().out
+        assert run_cli(tmp_path, doc, "--tests", "20003") == 0
+        capsys.readouterr()
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        good = entry.read_text(encoding="utf-8")
+        entry.write_text(json.dumps({**json.loads(good), field: value}), encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            assert run_cli(tmp_path, doc, "--tests", "20003") == 0
+        assert capsys.readouterr().out == expected
+        assert "ignoring corrupt cache entry" in caplog.text
+        assert entry.read_text(encoding="utf-8") == good
 
     def test_deeply_nested_entry_recomputed(self, tmp_path, capsys, caplog):
         doc = write_doc(tmp_path, ASYM_DOC)

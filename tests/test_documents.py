@@ -173,7 +173,7 @@ class TestToStructure:
             ],
         }
         matrix = minimal_cutsets(read(doc))
-        assert matrix.rows == ((1, 0),)
+        assert matrix.rows == (0b01,)
 
     def test_cutsets_read_as_masks(self):
         doc = {

@@ -65,7 +65,7 @@ class TestOptimizeFractions:
             fp = optimize_fractions(matrix)
             assert sum(fp.fractions) == 1, label
             totals = [
-                sum(F(v) * f for v, f in zip(row, fp.fractions)) for row in matrix.rows
+                sum(f for j, f in enumerate(fp.fractions) if row >> j & 1) for row in matrix.rows
             ]
             assert min(totals) == fp.cutset_fraction, label
 

@@ -1,5 +1,7 @@
-"""The README's CLI example, run as written, prints the README's report."""
+"""The README's examples run as written: the CLI prints the README's report, the
+library example computes the same plan and bound."""
 
+import math
 import re
 import shlex
 from pathlib import Path
@@ -29,3 +31,15 @@ def test_readme_cli_example(monkeypatch, capsys):
     assert shortened.endswith("...")
     assert digest.startswith(shortened[: -len("...")])
     assert out[1:] == lines[1:]
+
+
+def test_readme_library_example():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S)
+    assert match, "README has no Library example"
+    namespace = {}
+    exec(match.group(1), namespace)
+    assert namespace["plan"].n_min == 8000
+    bound = namespace["bound"]
+    assert (bound.alpha, bound.n_min) == (0.05, 8000)
+    assert bound.q_upper == math.log(1 / 0.05) / 8000

@@ -38,7 +38,7 @@ class TestMinimalCutsets:
     def test_two_of_three_truth_table(self):
         structure = SystemStructure.from_truth_table(names(3), two_of_three_table())
         matrix = minimal_cutsets(structure)
-        assert matrix.rows == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
+        assert matrix.rows == (0b011, 0b101, 0b110)
 
     def test_cutset_list_is_minimalized_and_canonical(self):
         # Scrambled order plus a duplicate and a superset of an existing cutset.
@@ -59,12 +59,12 @@ class TestMinimalCutsets:
         table = [1 if mask else 0 for mask in range(4)]
         structure = SystemStructure.from_truth_table(names(2), table)
         matrix = minimal_cutsets(structure)
-        assert matrix.rows == ((1, 0), (0, 1))
+        assert matrix.rows == (0b01, 0b10)
 
     def test_subset_minimality(self):
         structure = SystemStructure.from_cutsets(names(2), [(0,), (0, 1)])
         matrix = minimal_cutsets(structure)
-        assert matrix.rows == ((1, 0),)
+        assert matrix.rows == (0b01,)
 
     def test_truth_table_and_cutsets_give_same_digest(self):
         from_table = minimal_cutsets(
@@ -146,9 +146,28 @@ class TestValidation:
             SystemStructure.from_cutsets(("A", "A"), [(0,)])
 
     def test_matrix_rows_must_be_incomparable(self):
-        for rows in (((1, 0), (1, 1)), ((1, 1), (1, 0)), ((0, 1), (0, 1))):
+        for rows in ((0b01, 0b11), (0b11, 0b01), (0b10, 0b10)):
             with pytest.raises(InputError, match="incomparable"):
                 CutsetMatrix(names(2), rows)
+
+    @pytest.mark.parametrize("sets", [[(-1,), (0,)], [(0,), (3,)], [(0,), (1, 1.5)]])
+    def test_matrix_index_sets_in_range(self, sets):
+        # A negative index used to mark the last component, one past the end
+        # raised IndexError.
+        with pytest.raises(InputError, match="in range"):
+            CutsetMatrix.from_index_sets(("A", "B", "C"), sets)
+
+    @pytest.mark.parametrize("row", [(1.5, 0), (1, 0), 1.5, "1", None, 0, -1, 0b100, 0b111])
+    def test_matrix_rows_are_component_masks(self, row):
+        # 0/1 tuples are no longer rows; (1.5, 0) used to be coerced to (1, 0).
+        with pytest.raises(InputError, match="nonempty component sets"):
+            CutsetMatrix(names(2), (row,))
+        with pytest.raises(InputError, match="nonempty component sets"):
+            CutsetMatrix(names(2), (0b01, row))
+
+    def test_matrix_from_index_sets_gives_masks(self):
+        matrix = CutsetMatrix.from_index_sets(("A", "B", "C"), [(2, 0, 2), [1]])
+        assert matrix.rows == (0b101, 0b010)
 
     def test_zero_columns_reported(self):
         matrix = CutsetMatrix.from_index_sets(names(3), [(0,), (1,)])
@@ -194,7 +213,7 @@ class TestProperties:
             ]
             structure = SystemStructure.from_truth_table(names(m), table)
             matrix = minimal_cutsets(structure)
-            members = matrix.row_sets()
+            members = [set(matrix.row_members(i)) for i in range(matrix.s)]
             for mask in range(1 << m):
                 failed = {j for j in range(m) if mask >> j & 1}
                 covered = any(cut <= failed for cut in members)
@@ -212,7 +231,7 @@ class TestProperties:
 
     def test_every_pathset_hits_every_cutset(self, corpus_structures):
         for label, matrix in corpus_structures:
-            cuts = matrix.row_sets()
+            cuts = [set(matrix.row_members(i)) for i in range(matrix.s)]
             for path in minimal_pathsets(matrix):
                 assert all(set(path) & cut for cut in cuts), label
 
@@ -220,7 +239,8 @@ class TestProperties:
         for label, matrix in corpus_structures:
             if matrix.m > 8:
                 continue
-            expected = brute_force_minimal_hitting_sets(matrix.row_sets(), matrix.m)
+            cuts = [matrix.row_members(i) for i in range(matrix.s)]
+            expected = brute_force_minimal_hitting_sets(cuts, matrix.m)
             assert list(minimal_pathsets(matrix)) == expected, label
 
     def test_uniform_cutset_size_shortest_path(self):
@@ -231,7 +251,8 @@ class TestProperties:
                 matrix = CutsetMatrix.from_index_sets(
                     names(n), itertools.combinations(range(n), k)
                 )
-                expected = brute_force_minimal_hitting_sets(matrix.row_sets(), n)
+                cuts = [matrix.row_members(i) for i in range(matrix.s)]
+                expected = brute_force_minimal_hitting_sets(cuts, n)
                 assert shortest_path_length(matrix) == n - k + 1
                 assert min(len(p) for p in expected) == n - k + 1
 
