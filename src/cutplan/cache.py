@@ -32,6 +32,15 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "cutplan"
 
 
+def _tests_out_of(stored, n_zero: int) -> int:
+    """The tests out of n_zero that a stored fraction stands for; it must be whole."""
+    f = Fraction(stored)
+    tests, rest = divmod(f.numerator * n_zero, f.denominator)
+    if rest:
+        raise ValueError("fraction %s is not a multiple of 1/%d" % (stored, n_zero))
+    return tests
+
+
 class PlanCache:
     """Directory of one JSON entry per solved structure."""
 
@@ -57,9 +66,9 @@ class PlanCache:
             if type(n_zero) is not int or type(multiple_optima) is not bool:
                 raise ValueError("n_zero must be a JSON integer and multiple_optima a JSON bool")
             return FractionPlan(
-                fractions=tuple(Fraction(f) for f in raw["fractions"]),
-                cutset_fraction=Fraction(raw["cutset_fraction"]),
+                counts=tuple(_tests_out_of(f, n_zero) for f in raw["fractions"]),
                 n_zero=n_zero,
+                cutset_tests=_tests_out_of(raw["cutset_fraction"], n_zero),
                 multiple_optima=multiple_optima,
             )
         except (

@@ -29,7 +29,7 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .oracle import DEFAULT_ALLOCATION_CAP, brute_force_plan
-from .planner import _achieves_g, confidence_bound, integer_plan, optimize_fractions, shortest_path_check
+from .planner import confidence_bound, integer_plan, min_cutset_tests, optimize_fractions, shortest_path_check
 from .report import AuditSummary, PlanReport
 from .structure import minimal_cutsets, minimal_pathsets
 
@@ -119,10 +119,10 @@ def run(args: argparse.Namespace) -> PlanReport:
     # Before the fractions: a structure over PATHSET_LIMIT fails here,
     # without a solve or a cache entry.
     pathsets = minimal_pathsets(matrix)
-
-    fp = _resolve_fractions(args, matrix, digest)
-    path_check = shortest_path_check(fp, matrix)
     shortest = min(pathsets, key=len)
+
+    fp = _resolve_fractions(args, matrix, digest, len(shortest))
+    path_check = shortest_path_check(fp, matrix)
 
     warnings = []
     zero_columns = matrix.zero_columns()
@@ -175,18 +175,20 @@ def run(args: argparse.Namespace) -> PlanReport:
     )
 
 
-def _resolve_fractions(args, matrix, digest):
+def _resolve_fractions(args, matrix, digest, shortest_path):
     cache = None
     if not args.no_cache:
         cache = PlanCache(args.cache_dir if args.cache_dir else default_cache_dir())
     cached = cache.lookup(digest) if cache else None
 
     if cached is not None and not args.verify_cache:
-        if _achieves_g(cached, matrix):
+        # A hit must fit the matrix and clear the shortest-path floor g >= 1/P.
+        fits = len(cached.counts) == matrix.m and min_cutset_tests(matrix, cached.counts) == cached.cutset_tests
+        if fits and cached.cutset_tests * shortest_path >= cached.n_zero:
             log.info("cache hit for structure %s", digest[:12])
             return cached
         log.warning(
-            "ignoring corrupt cache entry %s: its fractions do not give every cutset g",
+            "ignoring corrupt cache entry %s: its plan does not fit the structure",
             cache.entry_path(digest),
         )
         cached = None
@@ -211,7 +213,7 @@ def _resolve_fractions(args, matrix, digest):
 
 
 def _run_audit(matrix, fp, plan) -> AuditSummary:
-    guaranteed = fp.cutset_fraction * plan.n_minus
+    guaranteed = plan.n_minus // fp.n_zero * fp.cutset_tests
     try:
         result = brute_force_plan(matrix, plan.n_minus)
     except SearchSpaceTooLarge as exc:
@@ -220,11 +222,10 @@ def _run_audit(matrix, fp, plan) -> AuditSummary:
             reason="search space of %d allocations exceeds the cap of %d"
             % (exc.count, DEFAULT_ALLOCATION_CAP),
         )
-    matches = result.best_n_min == guaranteed
-    if not matches:
+    if result.best_n_min != guaranteed:
         raise InternalInvariantError(
             "exhaustive search found a plan with minimum %d but the solver "
-            "guaranteed %s" % (result.best_n_min, guaranteed)
+            "guaranteed %d" % (result.best_n_min, guaranteed)
         )
     return AuditSummary(
         performed=True,

@@ -127,8 +127,8 @@ def enumerate_lp_vertices(
         )
 
     zero = Fraction(0)
-    # Constraint pool: row i tight (A_i.x = b_i), then bound j tight (x_j = 0).
-    pool = [(tuple(problem.constraint_matrix[i]), problem.rhs[i]) for i in range(s)]
+    # Constraint pool, in Fractions: row i tight (A_i.x = b_i), then bound j tight (x_j = 0).
+    pool = [(tuple(map(Fraction, row)), Fraction(b)) for row, b in zip(problem.constraint_matrix, problem.rhs)]
     for j in range(m):
         unit = [zero] * m
         unit[j] = Fraction(1)

@@ -3,10 +3,11 @@
 The continuous relaxation maximizes the test fraction g guaranteed to every
 minimal cutset.  Writing h = f/g and H = 1/g turns that into the linear
 program   minimize sum(h)  subject to  Y.h >= 1,  h >= 0,   whose exact
-optimum recovers the per-component fractions f = h/H and g = 1/H.  The
-fractions depend only on the structure, so they are computed once and reused:
-scaling by any multiple of the smallest integer-exact total N0 yields an
-integer plan whose minimum cutset test count is exactly g times the total.
+optimum recovers the per-component fractions f = h/H and g = 1/H.  Scaled to
+coprime integers, h is the plan at the smallest integer-exact total N0: it
+sums to N0 and gives every minimal cutset at least g*N0 tests.  It depends
+only on the structure, so it is computed once and reused; k times it is the
+plan for k*N0 tests.  Fractions are built only to report or store the plan.
 """
 
 from __future__ import annotations
@@ -29,36 +30,46 @@ from .structure import CutsetMatrix, shortest_path_length
 log = logging.getLogger("cutplan.planner")
 
 
+def _check_counts(counts: Sequence[int]):
+    """Test counts are nonnegative ints; a bool or a float is not a count."""
+    if not all(type(c) is int and c >= 0 for c in counts):
+        raise InputError("test counts must be nonnegative ints")
+
+
 @dataclass(frozen=True)
 class FractionPlan:
-    """Optimal test fractions for a structure, independent of any budget.
+    """Optimal test plan for a structure, independent of any budget.
 
-    ``fractions[j]`` is the share of all tests component j receives,
-    ``cutset_fraction`` is the share g that every minimal cutset is guaranteed
-    (Y.f >= g holds with equality on at least one row, checked where the
-    matrix is available), and ``n_zero`` is the smallest positive total at
-    which every fractions[j] * total is an integer.
+    Component j gets ``counts[j]`` of the ``n_zero`` tests of the plan at the
+    smallest integer-exact total, and every minimal cutset at least
+    ``cutset_tests`` (with equality on at least one row, checked where the
+    matrix is available).  ``fractions`` and ``cutset_fraction`` (g) are the
+    same plan as exact shares of the total.
     """
 
-    fractions: tuple[Fraction, ...]
-    cutset_fraction: Fraction
+    counts: tuple[int, ...]
     n_zero: int
+    cutset_tests: int
     multiple_optima: bool = False
 
     def __post_init__(self):
-        fractions = tuple(Fraction(f) for f in self.fractions)
-        object.__setattr__(self, "fractions", fractions)
-        object.__setattr__(self, "cutset_fraction", Fraction(self.cutset_fraction))
-        if not fractions:
-            raise InputError("a fraction plan needs at least one component")
-        if any(f < 0 for f in fractions):
-            raise InputError("test fractions must be nonnegative")
-        if sum(fractions) != 1:
-            raise InputError("test fractions must sum to exactly 1")
-        if not 0 < self.cutset_fraction <= 1:
-            raise InputError("cutset fraction must lie in (0, 1]")
-        if self.n_zero != find_n_zero(fractions):
-            raise InputError("n_zero must be the least common denominator of the fractions")
+        object.__setattr__(self, "counts", tuple(self.counts))
+        _check_counts((*self.counts, self.n_zero, self.cutset_tests))
+        if sum(self.counts) != self.n_zero:
+            raise InputError("test counts must sum to n_zero")
+        # Also rejects an empty plan, whose n_zero would have to be 0.
+        if math.gcd(self.n_zero, *self.counts) != 1:
+            raise InputError("n_zero must be the smallest total at which the plan is whole")
+        if not 0 < self.cutset_tests <= self.n_zero:
+            raise InputError("cutset tests must lie in (0, n_zero]")
+
+    @property
+    def fractions(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.n_zero) for c in self.counts)
+
+    @property
+    def cutset_fraction(self) -> Fraction:
+        return Fraction(self.cutset_tests, self.n_zero)
 
 
 @dataclass(frozen=True)
@@ -81,9 +92,8 @@ class IntegerPlan:
     remainder_distributed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        if any(v < 0 for v in self.n):
-            raise InputError("test counts must be nonnegative")
+        object.__setattr__(self, "n", tuple(self.n))
+        _check_counts(self.n)
         allocated = self.n_minus + (self.remainder if self.remainder_distributed else 0)
         if sum(self.n) != allocated:
             raise InternalInvariantError("allocation does not sum to the planned total")
@@ -118,7 +128,7 @@ class PathStrategyCheck:
 
 
 def optimize_fractions(cutsets: CutsetMatrix) -> FractionPlan:
-    """Solve the continuous relaxation exactly and return the optimal fractions."""
+    """Solve the continuous relaxation exactly and return the optimal plan at N0."""
     rows = tuple(tuple(row >> j & 1 for j in range(cutsets.m)) for row in cutsets.rows)
     problem = LpProblem(cost=(1,) * cutsets.m, constraint_matrix=rows, rhs=(1,) * cutsets.s)
     solution = solve_lp(problem)
@@ -133,28 +143,18 @@ def optimize_fractions(cutsets: CutsetMatrix) -> FractionPlan:
         solution.pivots,
         solution.max_bits,
     )
-    big_h = solution.objective
-    if big_h < 1:
-        raise InternalInvariantError("relaxation objective fell below 1")
-    fractions = tuple(hj / big_h for hj in solution.variables)
-    fp = FractionPlan(
-        fractions=fractions,
-        cutset_fraction=1 / big_h,
-        n_zero=find_n_zero(fractions),
-        multiple_optima=solution.multiple_optima,
-    )
-    if not _achieves_g(fp, cutsets):
+    # h times the lcm L of its denominators is the plan at N0, and g = 1/H.
+    # Its counts are coprime: a prime dividing all of them would divide the
+    # total L of a tight row, yet some h_j has its full power in its denominator.
+    scale = math.lcm(*(hj.denominator for hj in solution.variables))
+    counts = [hj.numerator * (scale // hj.denominator) for hj in solution.variables]
+    n_zero = sum(counts)
+    cutset_tests = min_cutset_tests(cutsets, counts)
+    if cutset_tests * solution.objective.numerator != n_zero * solution.objective.denominator:
         raise InternalInvariantError("minimum cutset fraction does not equal g")
-    return fp
-
-
-def _achieves_g(fp: FractionPlan, cutsets: CutsetMatrix) -> bool:
-    """Whether the plan fits the matrix: min over cutsets of Y.f is exactly g.
-
-    Checked in integers on the counts f * n_zero, which n_zero makes whole.
-    """
-    counts = [f.numerator * (fp.n_zero // f.denominator) for f in fp.fractions]
-    return len(counts) == cutsets.m and min_cutset_tests(cutsets, counts) == fp.cutset_fraction * fp.n_zero
+    return FractionPlan(
+        counts=counts, n_zero=n_zero, cutset_tests=cutset_tests, multiple_optima=solution.multiple_optima
+    )
 
 
 def find_n_zero(fractions: Sequence[Fraction]) -> int:
@@ -175,8 +175,7 @@ def min_cutset_tests(cutsets: CutsetMatrix, n: Sequence[int]) -> int:
     """
     if len(n) != cutsets.m:
         raise InputError("allocation length must match the number of components")
-    if any(v < 0 for v in n):
-        raise InputError("test counts must be nonnegative")
+    _check_counts(n)
     return min(sum(n[j] for j in cutsets.row_members(i)) for i in range(cutsets.s))
 
 
@@ -186,10 +185,10 @@ def integer_plan(
     cutsets: CutsetMatrix | None = None,
     distribute_remainder: bool = False,
 ) -> IntegerPlan:
-    """Scale the optimal fractions to an integer plan for a concrete budget.
+    """Scale the plan at N0 to an integer plan for a concrete budget.
 
-    Only (fractions, cutset_fraction, n_zero) are needed, so cached fraction
-    plans replan new budgets without re-solving.  The remainder below the next
+    The budget holds k = N // N0 copies of the plan at N0, so cached plans
+    replan new budgets without re-solving.  The remainder below the next
     integer-exact total cannot raise the guaranteed minimum, so it stays
     unallocated unless ``distribute_remainder`` hands it out round-robin
     (which requires the matrix to recompute ``n_min`` from the emitted plan).
@@ -198,31 +197,21 @@ def integer_plan(
         raise InputError("requested test total must be positive")
     if n_requested < fp.n_zero:
         raise BudgetTooSmall(n_requested, fp.n_zero)
-    if cutsets is not None and cutsets.m != len(fp.fractions):
+    if cutsets is not None and cutsets.m != len(fp.counts):
         raise InputError("cutset matrix and fraction plan disagree on component count")
 
-    remainder = n_requested % fp.n_zero
-    n_minus = n_requested - remainder
-    counts = []
-    for f in fp.fractions:
-        scaled = f * n_minus
-        if scaled.denominator != 1:
-            raise InternalInvariantError("scaled fraction is not integer at a multiple of n_zero")
-        counts.append(int(scaled))
+    k, remainder = divmod(n_requested, fp.n_zero)
+    counts = [k * c for c in fp.counts]
 
     distributed = False
     if distribute_remainder and remainder:
         if cutsets is None:
             raise InputError("distributing the remainder requires the cutset matrix")
-        for k in range(remainder):
-            counts[k % len(counts)] += 1
+        for i in range(remainder):
+            counts[i % len(counts)] += 1
         distributed = True
 
-    guaranteed = fp.cutset_fraction * n_minus
-    if guaranteed.denominator != 1:
-        raise InternalInvariantError("guaranteed minimum is not integer at a multiple of n_zero")
-    guaranteed = int(guaranteed)
-
+    guaranteed = k * fp.cutset_tests
     if cutsets is not None:
         achieved = min_cutset_tests(cutsets, counts)
         if not distributed and achieved != guaranteed:
@@ -236,8 +225,8 @@ def integer_plan(
     return IntegerPlan(
         n=tuple(counts),
         n_total_requested=n_requested,
-        n_minus=n_minus,
-        n_plus=n_minus + fp.n_zero,
+        n_minus=k * fp.n_zero,
+        n_plus=(k + 1) * fp.n_zero,
         n_min=n_min,
         remainder=remainder,
         remainder_distributed=distributed,
@@ -265,15 +254,15 @@ def evaluate_plan(cutsets: CutsetMatrix, n: Sequence[int], alpha: float) -> Boun
 def shortest_path_check(fp: FractionPlan, cutsets: CutsetMatrix) -> PathStrategyCheck:
     """Verify g >= 1/P exactly and report the margin over the path strategy."""
     p = shortest_path_length(cutsets)
-    path_fraction = Fraction(1, p)
-    if fp.cutset_fraction < path_fraction:
+    g = fp.cutset_fraction
+    if fp.cutset_tests * p < fp.n_zero:
         raise InternalInvariantError(
-            "optimal cutset fraction %s fell below the shortest-path floor 1/%d"
-            % (fp.cutset_fraction, p)
+            "optimal cutset fraction %s fell below the shortest-path floor 1/%d" % (g, p)
         )
+    path_fraction = Fraction(1, p)
     return PathStrategyCheck(
         shortest_path_length=p,
-        cutset_fraction=fp.cutset_fraction,
+        cutset_fraction=g,
         path_fraction=path_fraction,
-        gap=fp.cutset_fraction - path_fraction,
+        gap=g - path_fraction,
     )

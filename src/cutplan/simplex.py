@@ -25,6 +25,7 @@ rational tableau (L_i > 0 its scale), a pivoted row equals its rational row,
 and the objective rows are positive multiples of the reduced costs.  So every
 sign, zero test and ratio comparison (done by cross-multiplying) agrees with
 the rational tableau: the pivot sequence, and hence the solution, is the same.
+Int and Fraction entries are kept as given, other values become Fractions;
 Fractions are only read to scale the input and built for the result.
 """
 
@@ -44,22 +45,22 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _as_fraction_vector(values: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+def _as_exact_vector(values: Sequence) -> tuple[int | Fraction, ...]:
+    return tuple(v if type(v) in (int, Fraction) else Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
 class LpProblem:
     """minimize cost.x  subject to  constraint_matrix.x >= rhs,  x >= 0."""
 
-    cost: tuple[Fraction, ...]
-    constraint_matrix: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
+    cost: tuple[int | Fraction, ...]
+    constraint_matrix: tuple[tuple[int | Fraction, ...], ...]
+    rhs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        cost = _as_fraction_vector(self.cost)
-        matrix = tuple(_as_fraction_vector(row) for row in self.constraint_matrix)
-        rhs = _as_fraction_vector(self.rhs)
+        cost = _as_exact_vector(self.cost)
+        matrix = tuple(_as_exact_vector(row) for row in self.constraint_matrix)
+        rhs = _as_exact_vector(self.rhs)
         object.__setattr__(self, "cost", cost)
         object.__setattr__(self, "constraint_matrix", matrix)
         object.__setattr__(self, "rhs", rhs)
@@ -105,7 +106,7 @@ class LpSolution:
     max_bits: int = field(default=0, compare=False)
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _scaled(values: Sequence[int | Fraction]) -> tuple[int, list[int]]:
     """The lcm L of the denominators (a common denominator) and the integers L*v."""
     scale = math.lcm(*[v.denominator for v in values])
     return scale, [v.numerator * (scale // v.denominator) for v in values]

@@ -59,6 +59,21 @@ class TestCache:
         with caplog.at_level(logging.WARNING):
             assert cache.lookup(digest) is None
 
+    @pytest.mark.parametrize(
+        "field, value",
+        # Off the 1/n_zero grid; truncated to counts, the first would pass.
+        [("fractions", ["1/5", "1/5", "1/5", "1/10", "2/5"]), ("cutset_fraction", "3/10")],
+    )
+    def test_fraction_off_the_n_zero_grid_is_corrupt(self, tmp_path, caplog, field, value):
+        digest, plan = solved()
+        cache = PlanCache(tmp_path)
+        path = cache.store(digest, plan)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**entry, field: value}), encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            assert cache.lookup(digest) is None
+        assert "not a multiple of 1/5" in caplog.text
+
     def test_entries_carry_exact_fraction_strings(self, tmp_path):
         digest, plan = solved()
         cache = PlanCache(tmp_path)

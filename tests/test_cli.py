@@ -318,14 +318,34 @@ class TestCacheBehaviour:
         expected = capsys.readouterr().out
         structure = document_to_structure(parse_document(json.dumps(payload)))
         digest = minimal_cutsets(structure).canonical_digest()
-        # Self-consistent (sums to 1, right lcm) but gives cutset {A} nothing.
+        # Self-consistent (sums to n_zero, no common divisor) but gives cutset {A} nothing.
         cache = PlanCache(tmp_path / "cache")
-        path = cache.store(digest, FractionPlan(fractions=("0", "1"), cutset_fraction=1, n_zero=1))
+        path = cache.store(digest, FractionPlan(counts=(0, 1), n_zero=1, cutset_tests=1))
         with caplog.at_level(logging.WARNING):
             assert run_cli(tmp_path, doc, *extra) == 0
         assert capsys.readouterr().out == expected
         assert "ignoring corrupt cache entry" in caplog.text
         assert json.loads(path.read_text(encoding="utf-8"))["fractions"] == ["1", "0"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_entry_below_the_path_floor_is_recomputed(self, tmp_path, capsys, caplog, fmt):
+        # It fits the matrix ({A} gets 1/3, {B,C} 2/3) but g = 1/3 is below
+        # the shortest-path floor 1/2 that every optimum clears.
+        payload = {"schema_version": 1, "components": ["A", "B", "C"], "cutsets": [["A"], ["B", "C"]]}
+        doc = write_doc(tmp_path, payload)
+        assert run_cli(tmp_path, doc, "--tests", "600", "--format", fmt, "--no-cache") == 0
+        expected = capsys.readouterr().out
+        assert run_cli(tmp_path, doc, "--tests", "600", "--format", fmt) == 0
+        capsys.readouterr()
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        good = entry.read_text(encoding="utf-8")
+        probe = {**json.loads(good), "fractions": ["1/3"] * 3, "cutset_fraction": "1/3", "n_zero": 3}
+        entry.write_text(json.dumps(probe), encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            assert run_cli(tmp_path, doc, "--tests", "600", "--format", fmt) == 0
+        assert capsys.readouterr().out == expected
+        assert caplog.text.count("ignoring corrupt cache entry") == 1
+        assert entry.read_text(encoding="utf-8") == good
 
     @pytest.mark.parametrize(
         "field, value",

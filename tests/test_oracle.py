@@ -137,3 +137,20 @@ class TestVertexEnumeration:
             else:
                 infeasible_seen += 1
         assert optimal_seen and infeasible_seen
+
+    def test_int_problem_stays_exact(self):
+        # LpProblem keeps int entries; the reference must still divide exactly.
+        rng = random.Random(31)
+        for _ in range(40):
+            s = rng.randint(1, 4)
+            m = rng.randint(1, 4)
+            rows = tuple(tuple(rng.randint(0, 3) for _ in range(m)) for _ in range(s))
+            cost = tuple(rng.randint(1, 3) for _ in range(m))
+            problem = LpProblem(cost=cost, constraint_matrix=rows, rhs=tuple(rng.randint(1, 3) for _ in range(s)))
+            assert problem.constraint_matrix == rows and all(type(c) is int for c in problem.cost)
+            slow = enumerate_lp_vertices(problem)
+            fast = solve_lp(problem)
+            assert slow.status == fast.status
+            if slow.status == OPTIMAL:
+                assert all(type(v) is F for v in (slow.objective, *slow.variables))
+                assert slow.objective == fast.objective

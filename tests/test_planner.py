@@ -10,6 +10,7 @@ from cutplan import (
     CutsetMatrix,
     FractionPlan,
     InputError,
+    IntegerPlan,
     InternalInvariantError,
     InvalidAlpha,
     brute_force_plan,
@@ -108,7 +109,7 @@ class TestIntegerPlan:
         assert plan_minimum(matrix.rows, plan.n) == 2
 
     def test_single_component(self):
-        fp = FractionPlan(fractions=(F(1),), cutset_fraction=F(1), n_zero=1)
+        fp = FractionPlan(counts=(1,), n_zero=1, cutset_tests=1)
         plan = integer_plan(fp, 7)
         assert plan.n == (7,)
         assert plan.n_min == 7
@@ -159,6 +160,23 @@ class TestIntegerPlan:
         ]
         assert values == sorted(values)
 
+    @pytest.mark.parametrize("n", [(1.5,), (True,), (-1,)])
+    def test_integer_plan_counts_must_be_ints(self, n):
+        with pytest.raises(InputError):
+            IntegerPlan(n=n, n_total_requested=1, n_minus=1, n_plus=2, n_min=1, remainder=0)
+
+    def test_integer_arithmetic_matches_the_fractions(self, corpus_structures):
+        # The plan is kept in integers; the fractions it stands for must give
+        # the same N0, the same counts and the same guarantee.
+        for label, matrix in corpus_structures:
+            fp = optimize_fractions(matrix)
+            assert fp.n_zero == slow_n_zero(fp.fractions), label
+            for total in (fp.n_zero + 1, 7 * fp.n_zero - 1, 10**6 + 3):
+                for cutsets in (None, matrix):
+                    plan = integer_plan(fp, total, cutsets=cutsets)
+                    assert list(plan.n) == [f * plan.n_minus for f in fp.fractions], label
+                    assert plan.n_min == fp.cutset_fraction * plan.n_minus, label
+
     def test_optimal_at_usable_total(self, corpus_structures):
         # At any multiple of n_zero no integer allocation beats the plan.
         for label, matrix in corpus_structures:
@@ -204,6 +222,11 @@ class TestAuditAndPathCheck:
         assert starved.q_upper == 1.0
         assert min_cutset_tests(matrix, (4000, 4000, 4000, 0, 8000)) == 8000
 
+    @pytest.mark.parametrize("counts", [(0.5, 2.5), (1.0, 2), (True, 2)])
+    def test_evaluate_rejects_counts_that_are_not_ints(self, counts):
+        with pytest.raises(InputError):
+            evaluate_plan(series_matrix(2), counts, 0.05)
+
     def test_path_check_asymmetric(self):
         matrix = asymmetric_matrix()
         check = shortest_path_check(optimize_fractions(matrix), matrix)
@@ -225,10 +248,8 @@ class TestAuditAndPathCheck:
             assert check.gap == 0
 
     def test_inconsistent_fraction_plan_detected(self):
-        # A plan whose g exceeds what the structure admits trips the check.
-        fake = FractionPlan(
-            fractions=(F(1, 2), F(1, 2)), cutset_fraction=F(1, 4), n_zero=2
-        )
+        # A plan whose g = 1/4 falls below the path floor 1/2 trips the check.
+        fake = FractionPlan(counts=(1, 3), n_zero=4, cutset_tests=1)
         matrix = CutsetMatrix.from_index_sets(names(2), [(0,), (1,)])
         with pytest.raises(InternalInvariantError):
             shortest_path_check(fake, matrix)
@@ -237,8 +258,13 @@ class TestAuditAndPathCheck:
 class TestFractionPlanValidation:
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(InputError):
-            FractionPlan(fractions=(F(1, 2),), cutset_fraction=F(1, 2), n_zero=2)
+            FractionPlan(counts=(1,), n_zero=2, cutset_tests=1)
+
+    @pytest.mark.parametrize("cutset_tests", [0, 3])
+    def test_cutset_tests_must_lie_in_the_total(self, cutset_tests):
+        with pytest.raises(InputError):
+            FractionPlan(counts=(1, 1), n_zero=2, cutset_tests=cutset_tests)
 
     def test_n_zero_must_match_denominators(self):
         with pytest.raises(InputError):
-            FractionPlan(fractions=(F(1, 2), F(1, 2)), cutset_fraction=F(1, 2), n_zero=4)
+            FractionPlan(counts=(2, 2), n_zero=4, cutset_tests=2)
