@@ -12,8 +12,9 @@ regenerates the file and says why.
 The inputs are the sample documents in ``docs/samples`` and documents drawn
 here from ``random.Random(SEED)`` (no other generator is shared with this
 one): m=10 cutset lists of 14 pairwise incomparable cutsets plus redundant
-supersets, m=12 truth tables, random m<=6 truth tables (monotone or not), and
-one invalid document for each rule the document reader checks.  Each input
+supersets, m=12 truth tables, random m<=6 truth tables (monotone or not),
+one invalid document for each rule the document reader checks, and truth
+tables with several faults or with odd states and flags.  Each input
 runs through ``cutplan.cli.main`` in-process with a cold cache, a hot cache
 and ``--no-cache``, in text and JSON, with and without ``--plus`` and
 ``--distribute-remainder``, and with ``--audit`` where the exhaustive search
@@ -112,7 +113,12 @@ _DROP = object()
 
 
 def _invalid_documents() -> dict[str, bytes]:
-    """One document per rule of the reader, each breaking only that rule."""
+    """One document per rule of the reader, each breaking only that rule.
+
+    Then truth tables that break several rules at once, where only the first
+    fault in listed order may be reported, odd states of the right length, and
+    one valid table whose flags are JSON true, 1.0 and -0.0.
+    """
     ok_cutsets = {"schema_version": 1, "components": ["A", "B"], "cutsets": [["A"], ["B"]]}
     ok_table = _table_document([0, 0, 0, 1], 2)
 
@@ -149,6 +155,28 @@ def _invalid_documents() -> dict[str, bytes]:
         "non_monotone": variant(ok_table, truth_table=_table_document([0, 1, 0, 0], 2)["truth_table"]),
         "always_fails": variant(ok_table, truth_table=_table_document([1, 1, 1, 1], 2)["truth_table"]),
         "never_fails": variant(ok_table, truth_table=_table_document([0, 0, 0, 0], 2)["truth_table"]),
+        "flag_before_shape": variant(
+            ok_table, truth_table=[*entries[:2], {**entries[2], "failed": 2}, {"state": "11"}]
+        ),
+        "repeat_before_flag": variant(
+            ok_table, truth_table=[entries[0], entries[1], entries[1], {**entries[3], "failed": 2}]
+        ),
+        "state_with_missing": variant(ok_table, truth_table=[{**entries[0], "state": "0x"}, *entries[1:3]]),
+        "flag_unhashable": variant(
+            ok_table, truth_table=[entries[0], {**entries[1], "failed": [1]}, *entries[2:]]
+        ),
+        "state_underscore": variant(ok_table, truth_table=[*entries[:3], {**entries[3], "state": "0_"}]),
+        "state_sign": variant(ok_table, truth_table=[*entries[:3], {**entries[3], "state": "+1"}]),
+        "state_not_ascii": variant(ok_table, truth_table=[*entries[:3], {**entries[3], "state": "0é"}]),
+        "odd_flags_accepted": variant(
+            ok_table,
+            truth_table=[
+                {**entries[3], "failed": True},
+                {**entries[1], "failed": -0.0},
+                {**entries[0], "failed": 0},
+                {**entries[2], "failed": 1.0},
+            ],
+        ),
     }
 
 
