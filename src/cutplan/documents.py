@@ -11,14 +11,24 @@ Reading takes two steps.  :func:`parse_document` (or :func:`load_document`
 for a file) parses the JSON and checks the envelope: the fields, the schema
 version, one structure definition, and the types of ``components`` and
 ``metadata``; it returns the JSON object.  :func:`document_to_structure`
-checks the content in one pass over it and builds the
-:class:`~cutplan.structure.SystemStructure` directly: cutsets as component
-masks, a truth table as its int of 2^m bits.
+checks the content and builds the :class:`~cutplan.structure.SystemStructure`
+directly: cutsets as component masks, a truth table as its int of 2^m bits.
+
+A truth table is read in whole-list passes that run in C, not one Python step
+per entry: the count, the entry shapes, the flag set, the state types, lengths
+and characters, then the masks, each written as an ASCII digit into a
+2^m-byte buffer in which a byte left empty means a repeated state.  Only when
+one of these passes declines are the entries walked one by one, and that walk
+only raises: it names the first fault in listed order (the entry's shape, its
+state, its flag, a repeat), or the count after the last entry.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
+from itertools import repeat
+from operator import getitem, itemgetter, setitem
 from pathlib import Path
 from typing import Any
 
@@ -28,6 +38,9 @@ from .structure import SystemStructure, _check_component_names, _check_truth_tab
 SCHEMA_VERSION = 1
 
 _FIELDS = {"schema_version", "components", "cutsets", "truth_table", "metadata"}
+
+_REVERSED = slice(None, None, -1)
+_DIGIT = {0: 48, 1: 49}  # failed flag -> ASCII "0" / "1"; True, 1.0 and -0.0 hash alike
 
 
 def parse_document(text: str) -> dict[str, Any]:
@@ -100,9 +113,45 @@ def _read_truth_table(raw: Any, m: int) -> int:
     _check_truth_table_size(m)
     if not isinstance(raw, list) or not raw:
         raise InputError("truth_table must be a nonempty list of entries")
-    # The binary digits of the table, most significant first: phi(mask) is
-    # digit ~mask, counted from the end.  A zero byte marks a state not seen yet.
+    table = _valid_table(raw, m)
+    if table is None:
+        _raise_first_fault(raw, m)
+    return table
+
+
+def _valid_table(raw: list, m: int) -> int | None:
+    """The table int of a valid table, read in whole-list passes; None at any fault."""
+    if len(raw) != 1 << m or not all(map(isinstance, raw, repeat(dict))) or set(map(len, raw)) != {2}:
+        return None
+    try:
+        states = list(map(itemgetter("state"), raw))
+        flags = list(map(itemgetter("failed"), raw))
+        if not set(flags) <= {0, 1}:
+            return None
+    except (KeyError, TypeError):  # an entry without the field; an unhashable flag
+        return None
+    if not all(map(isinstance, states, repeat(str))) or set(map(len, states)) != {m}:
+        return None
+    # int(s, 2) would also take "_", "+", "-" and spaces: only 0 and 1 may pass.
+    try:
+        if "".join(states).encode("ascii").translate(None, b"01"):
+            return None
+    except UnicodeEncodeError:
+        return None
+    # Byte ``mask`` is the ASCII digit of phi(mask); character k of a state is
+    # bit k of its mask.  There are 2^m states, so a zero byte left over means
+    # that some state repeats.
     digits = bytearray(1 << m)
+    masks = map(int, map(getitem, states, repeat(_REVERSED)), repeat(2))
+    deque(map(setitem, repeat(digits), masks, map(_DIGIT.__getitem__, flags)), maxlen=0)
+    if 0 in digits:
+        return None
+    return int(digits[::-1], 2)
+
+
+def _raise_first_fault(raw: list, m: int):
+    """Raise the first fault of the table in listed order, then the count."""
+    seen = set()
     for entry in raw:
         if not isinstance(entry, dict) or len(entry) != 2 or "state" not in entry or "failed" not in entry:
             raise InputError("truth table entries must have exactly state and failed fields")
@@ -111,11 +160,7 @@ def _read_truth_table(raw: Any, m: int) -> int:
             raise InputError("state %r is not a bit string of length %d" % (state, m))
         if failed not in (0, 1):
             raise InputError("failed flag must be 0 or 1")
-        # Character k of a state is bit k of its mask.
-        mask = int(state[::-1], 2)
-        if digits[~mask]:
+        if state in seen:
             raise InputError("state %r appears more than once" % state)
-        digits[~mask] = 49 if failed else 48  # ASCII "1" / "0"
-    if len(raw) != 1 << m:
-        raise InputError("truth table lists %d of the %d states" % (len(raw), 1 << m))
-    return int(digits, 2)
+        seen.add(state)
+    raise InputError("truth table lists %d of the %d states" % (len(raw), 1 << m))

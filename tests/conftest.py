@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutplan import CutsetMatrix
+from cutplan import CutsetMatrix, InputError
 
 # The five-component asymmetric demo used throughout the docs: C1..C4 carry
 # redundancy, C5 is a single point of failure.
@@ -124,6 +124,33 @@ def scan_monotonicity_witness(table, m):
             if larger != mask and not table[larger]:
                 return mask, larger
     return None
+
+
+def reference_truth_table(raw, m):
+    """Truth-table entries read one by one into the table int; bit mask is phi(mask).
+
+    Raises the document reader's InputError for the first fault in listed
+    order: an entry's shape, its state, its flag, a repeated state, and after
+    the last entry a missing state.
+    """
+    if not isinstance(raw, list) or not raw:
+        raise InputError("truth_table must be a nonempty list of entries")
+    digits = bytearray(1 << m)
+    for entry in raw:
+        if not isinstance(entry, dict) or len(entry) != 2 or "state" not in entry or "failed" not in entry:
+            raise InputError("truth table entries must have exactly state and failed fields")
+        state, failed = entry["state"], entry["failed"]
+        if not isinstance(state, str) or len(state) != m or state.strip("01"):
+            raise InputError("state %r is not a bit string of length %d" % (state, m))
+        if failed not in (0, 1):
+            raise InputError("failed flag must be 0 or 1")
+        mask = int(state[::-1], 2)
+        if digits[~mask]:
+            raise InputError("state %r appears more than once" % state)
+        digits[~mask] = 49 if failed else 48
+    if len(raw) != 1 << m:
+        raise InputError("truth table lists %d of the %d states" % (len(raw), 1 << m))
+    return int(digits, 2)
 
 
 def superset_table(cutsets, m):

@@ -1,11 +1,13 @@
 """Structure documents: envelope checks, content checks, and the structures they read into."""
 
 import json
+import math
 import random
 
 import pytest
 
 from cutplan import (
+    CutplanError,
     DegenerateStructure,
     InputError,
     NonCoherentStructure,
@@ -14,7 +16,7 @@ from cutplan import (
 )
 from cutplan.documents import document_to_structure, parse_document
 
-from conftest import names, scan_monotonicity_witness
+from conftest import names, reference_truth_table, scan_monotonicity_witness
 
 
 def read(payload):
@@ -222,3 +224,138 @@ class TestToStructure:
                 with pytest.raises(DegenerateStructure):
                     read(doc)
         assert witnessed >= 100 and monotone >= 100
+
+
+def outcome(build):
+    """The structure build() returns, or the type and message of its error."""
+    try:
+        return build()
+    except CutplanError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def agrees_with_reference(raw, m):
+    """The reader and the entry-by-entry reference give the same structure or the same error."""
+    doc = {"schema_version": 1, "components": list(names(m)), "truth_table": raw}
+    got = outcome(lambda: document_to_structure(doc))
+    want = outcome(lambda: SystemStructure(names(m), truth_table=reference_truth_table(raw, m)))
+    return got == want
+
+
+def threshold_table(rng, m):
+    weights = [rng.randint(1, 3) for _ in range(m)]
+    threshold = rng.randint(1, sum(weights))
+    return [int(sum(w for j, w in enumerate(weights) if mask >> j & 1) >= threshold) for mask in range(1 << m)]
+
+
+def shuffled_entries(rng, table, m):
+    entries = [{"state": state_string(mask, m), "failed": table[mask]} for mask in range(1 << m)]
+    rng.shuffle(entries)
+    return entries
+
+
+# Values that break one rule each, or that the reader must accept.
+ODD_ENTRIES = ([], "00", None, 1, {"state": "0"}, {"failed": 0}, {"state": "0", "failed": 0, "x": 1})
+ODD_STATES = (None, 5, ["0"], "", "2", "_", "+", "-", " ", "é", "\u0661", "\u0031")
+ODD_FLAGS = (2, -1, 0.5, None, "1", "0", [1], {}, float("nan"), True, False, 1.0, -0.0, 0.0)
+
+
+def mutate(rng, entries, m):
+    """A copy of the entries with one random fault, or one odd value the reader accepts."""
+    entries = [dict(e) if isinstance(e, dict) else e for e in entries]
+    i = rng.randrange(len(entries))
+    entry = entries[i] if isinstance(entries[i], dict) else {}
+    state = entry.get("state")
+    kind = rng.randrange(6)
+    if kind == 0:
+        entries[i] = rng.choice(ODD_ENTRIES)
+    elif kind == 1:
+        # A state one character off: a bad character, too short or too long.
+        if isinstance(state, str) and state:
+            k = rng.randrange(len(state))
+            odd = [state[:k] + rng.choice(ODD_STATES[4:]) + state[k + 1:], state[:-1], state + "0"]
+            entries[i] = {**entry, "state": rng.choice(odd)}
+        else:
+            entries[i] = {**entry, "state": rng.choice(ODD_STATES)}
+    elif kind == 2:
+        entries[i] = {**entry, "failed": rng.choice(ODD_FLAGS)}
+    elif kind == 3:
+        other = entries[rng.randrange(len(entries))]
+        if isinstance(other, dict) and "state" in other:
+            entries[i] = {**entry, "state": other["state"]}
+    elif kind == 4 and len(entries) > 1:
+        del entries[i]
+    else:
+        entries.insert(i, rng.choice(entries))
+    return entries
+
+
+class TestTruthTableReader:
+    def test_shuffled_tables_match_the_reference(self):
+        rng = random.Random(1018)
+        for m in range(1, 8):
+            for trial in range(12):
+                if trial % 3 == 0:
+                    table = [rng.randint(0, 1) for _ in range(1 << m)]
+                else:
+                    table = threshold_table(rng, m)
+                entries = shuffled_entries(rng, table, m)
+                if trial % 4 == 1:
+                    # Flags as JSON may give them: true/false, 1.0, -0.0.
+                    odd = {0: (False, 0.0, -0.0), 1: (True, 1.0)}
+                    entries = [{**e, "failed": rng.choice(odd[e["failed"]])} for e in entries]
+                assert agrees_with_reference(entries, m), (m, trial)
+
+    def test_faulty_tables_match_the_reference(self):
+        rng = random.Random(2026)
+        faulty = 0
+        for case in range(3000):
+            m = rng.randint(1, 5)
+            entries = shuffled_entries(rng, threshold_table(rng, m), m)
+            for _ in range(rng.randint(1, 3)):
+                entries = mutate(rng, entries, m)
+            assert agrees_with_reference(entries, m), (case, entries)
+            try:
+                reference_truth_table(entries, m)
+            except InputError:
+                faulty += 1
+        assert faulty >= 2500
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            # The first faulty entry is reported, whatever follows it.
+            ([("00", 0), ("10", 2), {"state": "01"}, ("11", 1)], "failed flag must be 0 or 1"),
+            ([("00", 0), {"state": "10"}, ("01", 2), ("11", 1)], "entries must have exactly state and failed"),
+            ([("00", 0), ("10", 0), ("10", 0), ("11", 2)], "state '10' appears more than once"),
+            ([("00", 0), ("00", 0), ("0x", 0), ("11", 1)], "state '00' appears more than once"),
+            # Within one entry: shape, then state, then flag, then repeat.
+            ([("00", 0), {"state": "0x", "failed": 2, "x": 0}, ("01", 0), ("11", 1)], "entries must have exactly"),
+            ([("00", 0), ("0x", 2), ("01", 0), ("11", 1)], "state '0x' is not a bit string of length 2"),
+            ([("00", 0), ("00", 2), ("01", 0), ("11", 1)], "failed flag must be 0 or 1"),
+            # A faulty entry is reported before the count.
+            ([("0_", 0), ("10", 0), ("11", 1)], "state '0_' is not a bit string of length 2"),
+            ([("00", 0), ("10", [1]), ("11", 1)], "failed flag must be 0 or 1"),
+            ([("00", 0), ("10", 0), ("01", 0), ("11", 1), ("11", 1)], "state '11' appears more than once"),
+            ([("00", 0), ("11", 1)], "truth table lists 2 of the 4 states"),
+            # Right-length states that int(s, 2) would take.
+            ([("00", 0), ("10", 0), ("+1", 0), ("11", 1)], r"state '\+1' is not a bit string"),
+            ([("00", 0), ("10", 0), (" 1", 0), ("11", 1)], "state ' 1' is not a bit string"),
+            ([("00", 0), ("10", 0), ("0\u0661", 0), ("11", 1)], "is not a bit string of length 2"),
+        ],
+    )
+    def test_first_fault_in_listed_order(self, entries, message):
+        raw = [e if isinstance(e, dict) else {"state": e[0], "failed": e[1]} for e in entries]
+        doc = {"schema_version": 1, "components": ["C1", "C2"], "truth_table": raw}
+        with pytest.raises(InputError, match=message):
+            document_to_structure(doc)
+        with pytest.raises(InputError, match=message):
+            reference_truth_table(raw, 2)
+
+    def test_large_shuffled_table(self):
+        rng = random.Random(14)
+        m = 14
+        table = threshold_table(rng, m)
+        assert not table[0] and table[-1]
+        doc = truth_table_doc(table, m, rng.sample(range(1 << m), 1 << m))
+        assert read(doc) == SystemStructure.from_truth_table(names(m), table)
