@@ -33,8 +33,17 @@ def default_cache_dir() -> Path:
 
 
 def _tests_out_of(stored, n_zero: int) -> int:
-    """The tests out of n_zero that a stored fraction stands for; it must be whole."""
+    """The tests out of n_zero that a stored fraction stands for; it must be whole.
+
+    The fraction is read as stored, never coerced: only its canonical string
+    (``str(Fraction(...))``, as :meth:`PlanCache.store` writes it) is accepted,
+    not true, 1.0, " 1 " or "2/4".
+    """
+    if type(stored) is not str:
+        raise ValueError("fraction %r is not a JSON string" % (stored,))
     f = Fraction(stored)
+    if str(f) != stored:
+        raise ValueError("fraction %r is not written as %r" % (stored, str(f)))
     tests, rest = divmod(f.numerator * n_zero, f.denominator)
     if rest:
         raise ValueError("fraction %s is not a multiple of 1/%d" % (stored, n_zero))
@@ -63,10 +72,13 @@ class PlanCache:
                 raise ValueError("entry digest does not match its file name")
             # Read as stored, not coerced: bool("false") would be True.
             n_zero, multiple_optima = raw["n_zero"], raw["multiple_optima"]
+            fractions = raw["fractions"]
             if type(n_zero) is not int or type(multiple_optima) is not bool:
                 raise ValueError("n_zero must be a JSON integer and multiple_optima a JSON bool")
+            if type(fractions) is not list:
+                raise ValueError("fractions must be a JSON list")
             return FractionPlan(
-                counts=tuple(_tests_out_of(f, n_zero) for f in raw["fractions"]),
+                counts=tuple(_tests_out_of(f, n_zero) for f in fractions),
                 n_zero=n_zero,
                 cutset_tests=_tests_out_of(raw["cutset_fraction"], n_zero),
                 multiple_optima=multiple_optima,

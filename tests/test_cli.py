@@ -367,6 +367,31 @@ class TestCacheBehaviour:
         assert "ignoring corrupt cache entry" in caplog.text
         assert entry.read_text(encoding="utf-8") == good
 
+    @pytest.mark.parametrize(
+        "fractions, cutset_fraction",
+        [([True, 0], 1.0), ([" 1 ", "0/7"], "1_0/1_0"), ("10", "1")],
+    )
+    def test_entry_fractions_are_not_coerced(self, tmp_path, capsys, caplog, fractions, cutset_fraction):
+        # Each probe equals the stored plan (1, 0) of n_zero 1 once passed
+        # through Fraction(), and a coerced read took it as a hit; the string
+        # "10" was read character by character.
+        payload = {"schema_version": 1, "components": ["A", "B"], "cutsets": [["A"]]}
+        doc = write_doc(tmp_path, payload)
+        assert run_cli(tmp_path, doc, "--tests", "7", "--no-cache") == 0
+        expected = capsys.readouterr().out
+        assert run_cli(tmp_path, doc, "--tests", "7") == 0
+        capsys.readouterr()
+        (entry,) = (tmp_path / "cache").glob("*.json")
+        good = entry.read_text(encoding="utf-8")
+        assert json.loads(good)["n_zero"] == 1
+        probe = {**json.loads(good), "fractions": fractions, "cutset_fraction": cutset_fraction}
+        entry.write_text(json.dumps(probe), encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            assert run_cli(tmp_path, doc, "--tests", "7") == 0
+        assert capsys.readouterr().out == expected
+        assert "ignoring corrupt cache entry" in caplog.text
+        assert entry.read_text(encoding="utf-8") == good
+
     def test_deeply_nested_entry_recomputed(self, tmp_path, capsys, caplog):
         doc = write_doc(tmp_path, ASYM_DOC)
         assert run_cli(tmp_path, doc, "--tests", "20003", "--no-cache") == 0
