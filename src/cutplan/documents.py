@@ -30,7 +30,7 @@ from collections import deque
 from itertools import repeat
 from operator import getitem, itemgetter, setitem
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
 from .errors import InputError
 from .structure import SystemStructure, _check_component_names, _check_truth_table_size
@@ -40,7 +40,7 @@ SCHEMA_VERSION = 1
 _FIELDS = {"schema_version", "components", "cutsets", "truth_table", "metadata"}
 
 _REVERSED = slice(None, None, -1)
-_DIGIT = {0: 48, 1: 49}  # failed flag -> ASCII "0" / "1"; True, 1.0 and -0.0 hash alike
+_DIGIT = {0: 48, 1: 49}  # failed flag -> ASCII "0" / "1"; True, 1.0 and -0.0 are keys too
 
 
 def parse_document(text: str) -> dict[str, Any]:
@@ -132,11 +132,9 @@ def _valid_table(raw: list, m: int) -> int | None:
         return None
     if not all(map(isinstance, states, repeat(str))) or set(map(len, states)) != {m}:
         return None
-    # int(s, 2) would also take "_", "+", "-" and spaces: only 0 and 1 may pass.
-    try:
-        if "".join(states).encode("ascii").translate(None, b"01"):
-            return None
-    except UnicodeEncodeError:
+    # int(s, 2) would also take "_", "+", "-", spaces and non-ASCII digits:
+    # only 0 and 1 may pass (a non-ASCII character is encoded as "?").
+    if "".join(states).encode("ascii", "replace").translate(None, b"01"):
         return None
     # Byte ``mask`` is the ASCII digit of phi(mask); character k of a state is
     # bit k of its mask.  There are 2^m states, so a zero byte left over means
@@ -149,7 +147,7 @@ def _valid_table(raw: list, m: int) -> int | None:
     return int(digits[::-1], 2)
 
 
-def _raise_first_fault(raw: list, m: int):
+def _raise_first_fault(raw: list, m: int) -> NoReturn:
     """Raise the first fault of the table in listed order, then the count."""
     seen = set()
     for entry in raw:
