@@ -1,7 +1,6 @@
 """Structure documents: envelope checks, content checks, and the structures they read into."""
 
 import json
-import math
 import random
 
 import pytest
@@ -256,7 +255,7 @@ def shuffled_entries(rng, table, m):
 
 # Values that break one rule each, or that the reader must accept.
 ODD_ENTRIES = ([], "00", None, 1, {"state": "0"}, {"failed": 0}, {"state": "0", "failed": 0, "x": 1})
-ODD_STATES = (None, 5, ["0"], "", "2", "_", "+", "-", " ", "é", "\u0661", "\u0031")
+ODD_STATES = (None, 5, ["0"], "", "2", "_", "+", "-", " ", "é", "\u0661")
 ODD_FLAGS = (2, -1, 0.5, None, "1", "0", [1], {}, float("nan"), True, False, 1.0, -0.0, 0.0)
 
 
