@@ -15,20 +15,26 @@ checks the content and builds the :class:`~cutplan.structure.SystemStructure`
 directly: cutsets as component masks, a truth table as its int of 2^m bits.
 
 A truth table is read in whole-list passes that run in C, not one Python step
-per entry: the count, the entry shapes, the flag set, the state types, lengths
-and characters, then the masks, each written as an ASCII digit into a
-2^m-byte buffer in which a byte left empty means a repeated state.  Only when
-one of these passes declines are the entries walked one by one, and that walk
-only raises: it names the first fault in listed order (the entry's shape, its
-state, its flag, a repeat), or the count after the last entry.
+per entry: the count, the entry shapes and the flag set, then the states
+joined one per line into ASCII bytes, whose length, newline places and
+characters check every state's type, length and digits at once.  The masks
+come from the m character columns of those bytes: each column is one int
+with a byte per state, eight columns fill one byte of every mask, and the
+masks are read as 32-bit fields.  Each flag is written as an ASCII digit at
+its mask into a 2^m-byte buffer in which a byte left empty means a repeated
+state.  Only when one of these passes declines are the entries walked one by
+one, and that walk only raises: it names the first fault in listed order (the
+entry's shape, its state, its flag, a repeat), or the count after the last
+entry.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from itertools import repeat
-from operator import getitem, itemgetter, setitem
+from operator import itemgetter, setitem
 from pathlib import Path
 from typing import Any, NoReturn
 
@@ -39,7 +45,6 @@ SCHEMA_VERSION = 1
 
 _FIELDS = {"schema_version", "components", "cutsets", "truth_table", "metadata"}
 
-_REVERSED = slice(None, None, -1)
 _DIGIT = {0: 48, 1: 49}  # failed flag -> ASCII "0" / "1"; True, 1.0 and -0.0 are keys too
 
 
@@ -121,26 +126,40 @@ def _read_truth_table(raw: Any, m: int) -> int:
 
 def _valid_table(raw: list, m: int) -> int | None:
     """The table int of a valid table, read in whole-list passes; None at any fault."""
-    if len(raw) != 1 << m or not all(map(isinstance, raw, repeat(dict))) or set(map(len, raw)) != {2}:
+    n, step = 1 << m, m + 1
+    if len(raw) != n or not all(map(isinstance, raw, repeat(dict))) or set(map(len, raw)) != {2}:
         return None
     try:
-        states = list(map(itemgetter("state"), raw))
+        # One state per line, a non-ASCII character as one "?" byte.
+        data = "\n".join(map(itemgetter("state"), raw)).encode("ascii", "replace")
+        # Every state has m characters when the n - 1 newlines, and only
+        # they, fall at every (m+1)-th place.  int(s, 2) would also take "_",
+        # "+", "-" and spaces: only 0, 1 and the newlines may appear.  The
+        # flags are listed only after these checks, so that at most two
+        # table-sized buffers are alive at once.
+        if len(data) != n * step - 1 or data.count(10) != n - 1 or data[m::step].count(10) != n - 1:
+            return None
+        if data.translate(None, b"01\n"):
+            return None
         flags = list(map(itemgetter("failed"), raw))
         if not set(flags) <= {0, 1}:
             return None
-    except (KeyError, TypeError):  # an entry without the field; an unhashable flag
+    except (KeyError, TypeError):  # an entry without the field; a state not a str; an unhashable flag
         return None
-    if not all(map(isinstance, states, repeat(str))) or set(map(len, states)) != {m}:
-        return None
-    # int(s, 2) would also take "_", "+", "-", spaces and non-ASCII digits:
-    # only 0 and 1 may pass (a non-ASCII character is encoded as "?").
-    if "".join(states).encode("ascii", "replace").translate(None, b"01"):
-        return None
-    # Byte ``mask`` is the ASCII digit of phi(mask); character k of a state is
-    # bit k of its mask.  There are 2^m states, so a zero byte left over means
-    # that some state repeats.
-    digits = bytearray(1 << m)
-    masks = map(int, map(getitem, states, repeat(_REVERSED)), repeat(2))
+    # Column k, one byte per state, holds character k of every state, and the
+    # low bit of an ASCII 0 or 1 is its value.  Eight columns fill a byte
+    # lane, and lane b goes into byte b of a 32-bit mask per state.
+    low_bits = int.from_bytes(b"\x01" * n, "little")
+    fields = bytearray(4 * n)
+    for b, first in enumerate(range(0, m, 8)):
+        lane = 0
+        for k in range(first, min(first + 8, m)):
+            lane |= (int.from_bytes(data[k::step], "little") & low_bits) << (k - first)
+        fields[b if sys.byteorder == "little" else 3 - b :: 4] = lane.to_bytes(n, "little")
+    # Byte ``mask`` is the ASCII digit of phi(mask).  There are 2^m states,
+    # so a zero byte left over means that some state repeats.
+    digits = bytearray(n)
+    masks = memoryview(fields).cast("I")
     deque(map(setitem, repeat(digits), masks, map(_DIGIT.__getitem__, flags)), maxlen=0)
     if 0 in digits:
         return None

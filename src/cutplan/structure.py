@@ -262,9 +262,12 @@ def minimal_pathsets(cutsets: CutsetMatrix) -> tuple[tuple[int, ...], ...]:
     component of any one of them working guarantees system success.  Computed
     by Berge's sequential transversal algorithm on bitmasks: the minimal
     transversals of the cutsets seen so far are carried to the next cutset C,
-    and each one p that misses C is extended to q = p | {j} for each j in C.
-    q is minimal exactly when every member of p has a private cutset, one that
-    meets q in that member alone (j has C).  Cutsets are taken smallest first,
+    and each one p that misses C is extended to p | {j} for the j in C that
+    keep it minimal.  Each member i of p has a private cutset, one that meets
+    p in i alone, and p | {j} is minimal exactly when some private cutset of
+    each i misses j.  So one pass over the seen cutsets takes, for each member
+    of p, the AND of its private cutsets, and the members of C outside all of
+    these ANDs are the j to extend by.  Cutsets are taken smallest first,
     which keeps the intermediate families small.  A family larger than
     ``PATHSET_LIMIT`` raises InputError.
     """
@@ -276,7 +279,15 @@ def minimal_pathsets(cutsets: CutsetMatrix) -> tuple[tuple[int, ...], ...]:
         extended = [p for p in paths if p & cut]
         for p in paths:
             if not p & cut:
-                extended += [p | b for b in bits if _members_have_private_cuts(p, p | b, seen)]
+                private: dict[int, int] = {}
+                for other in seen:
+                    shared = other & p
+                    if shared and not shared & (shared - 1):  # one member
+                        private[shared] = private.get(shared, other) & other
+                blocked = 0
+                for meet in private.values():
+                    blocked |= meet
+                extended += [p | b for b in bits if not b & blocked]
                 if len(extended) > PATHSET_LIMIT:
                     raise InputError(
                         "too many minimal pathsets: the %d smallest minimal cutsets alone "
@@ -284,16 +295,6 @@ def minimal_pathsets(cutsets: CutsetMatrix) -> tuple[tuple[int, ...], ...]:
                     )
         paths = extended
     return tuple(_canonical(paths))
-
-
-def _members_have_private_cuts(p: int, q: int, cuts: list[int]) -> bool:
-    """Whether each member of p is the only member of q in one of the cuts."""
-    private = 0
-    for cut in cuts:
-        shared = cut & q
-        if not shared & (shared - 1):  # at most one member
-            private |= shared
-    return not p & ~private
 
 
 def shortest_path_length(cutsets: CutsetMatrix) -> int:

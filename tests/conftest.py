@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cutplan import CutsetMatrix, InputError
+from cutplan import CutsetMatrix, InputError, structure
 
 # The five-component asymmetric demo used throughout the docs: C1..C4 carry
 # redundancy, C5 is a single point of failure.
@@ -151,6 +151,40 @@ def reference_truth_table(raw, m):
     if len(raw) != 1 << m:
         raise InputError("truth table lists %d of the %d states" % (len(raw), 1 << m))
     return int(digits, 2)
+
+
+def reference_minimal_pathsets(cutsets):
+    """Berge's transversal listing with a scan of every seen cutset per extension.
+
+    Each p missing the next cutset C is extended to q = p | {j} for each j in
+    C, and q is kept when every member of p is the only member of q in one of
+    the seen cutsets.  Same order, ``PATHSET_LIMIT`` check and message as
+    ``structure.minimal_pathsets``.
+    """
+    paths = [0]
+    seen = []
+    for cut in sorted(cutsets.rows, key=int.bit_count):
+        seen.append(cut)
+        bits = [1 << j for j in range(cutsets.m) if cut >> j & 1]
+        extended = [p for p in paths if p & cut]
+        for p in paths:
+            if not p & cut:
+                for b in bits:
+                    q = p | b
+                    private = 0
+                    for other in seen:
+                        shared = other & q
+                        if not shared & (shared - 1):  # at most one member
+                            private |= shared
+                    if not p & ~private:
+                        extended.append(q)
+                if len(extended) > structure.PATHSET_LIMIT:
+                    raise InputError(
+                        "too many minimal pathsets: the %d smallest minimal cutsets alone "
+                        "have more than %d (PATHSET_LIMIT)" % (len(seen), structure.PATHSET_LIMIT)
+                    )
+        paths = extended
+    return tuple(sorted(tuple(j for j in range(cutsets.m) if p >> j & 1) for p in paths))
 
 
 def superset_table(cutsets, m):

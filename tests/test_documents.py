@@ -15,7 +15,7 @@ from cutplan import (
 )
 from cutplan.documents import document_to_structure, parse_document
 
-from conftest import names, reference_truth_table, scan_monotonicity_witness
+from conftest import names, reference_truth_table, scan_monotonicity_witness, superset_table
 
 
 def read(payload):
@@ -255,7 +255,7 @@ def shuffled_entries(rng, table, m):
 
 # Values that break one rule each, or that the reader must accept.
 ODD_ENTRIES = ([], "00", None, 1, {"state": "0"}, {"failed": 0}, {"state": "0", "failed": 0, "x": 1})
-ODD_STATES = (None, 5, ["0"], "", "2", "_", "+", "-", " ", "é", "\u0661")
+ODD_STATES = (None, 5, ["0"], "", "2", "_", "+", "-", " ", "\n", "é", "\u0661")
 ODD_FLAGS = (2, -1, 0.5, None, "1", "0", [1], {}, float("nan"), True, False, 1.0, -0.0, 0.0)
 
 
@@ -265,7 +265,7 @@ def mutate(rng, entries, m):
     i = rng.randrange(len(entries))
     entry = entries[i] if isinstance(entries[i], dict) else {}
     state = entry.get("state")
-    kind = rng.randrange(6)
+    kind = rng.randrange(7)
     if kind == 0:
         entries[i] = rng.choice(ODD_ENTRIES)
     elif kind == 1:
@@ -284,6 +284,14 @@ def mutate(rng, entries, m):
             entries[i] = {**entry, "state": other["state"]}
     elif kind == 4 and len(entries) > 1:
         del entries[i]
+    elif kind == 5:
+        # One character moved from this state to another: the total length stays.
+        o = rng.randrange(len(entries))
+        other = entries[o].get("state") if isinstance(entries[o], dict) else None
+        if isinstance(state, str) and state and isinstance(other, str) and o != i:
+            k, at = rng.randrange(len(state)), rng.randrange(len(other) + 1)
+            entries[i] = {**entry, "state": state[:k] + state[k + 1:]}
+            entries[o] = {**entries[o], "state": other[:at] + state[k] + other[at:]}
     else:
         entries.insert(i, rng.choice(entries))
     return entries
@@ -341,15 +349,24 @@ class TestTruthTableReader:
             ([("00", 0), ("10", 0), ("+1", 0), ("11", 1)], r"state '\+1' is not a bit string"),
             ([("00", 0), ("10", 0), (" 1", 0), ("11", 1)], "state ' 1' is not a bit string"),
             ([("00", 0), ("10", 0), ("0\u0661", 0), ("11", 1)], "is not a bit string of length 2"),
+            # Right total length, but a newline in a state or states of two lengths.
+            ([("00", 0), ("1\n", 0), ("01", 0), ("11", 1)], r"state '1\\n' is not a bit string of length 2"),
+            ([("00", 0), ("1", 0), ("011", 0), ("11", 1)], "state '1' is not a bit string of length 2"),
+            ([("00", 0), (10, 0), ("01", 0), ("11", 1)], "state 10 is not a bit string of length 2"),
+            # One component.
+            ([("0", 0), ("\n", 1)], r"state '\\n' is not a bit string of length 1"),
+            ([("1", 1), ("1", 1)], "state '1' appears more than once"),
         ],
     )
     def test_first_fault_in_listed_order(self, entries, message):
+        # Every case lists its first entry as a (state, flag) pair of m characters.
+        m = len(entries[0][0])
         raw = [e if isinstance(e, dict) else {"state": e[0], "failed": e[1]} for e in entries]
-        doc = {"schema_version": 1, "components": ["C1", "C2"], "truth_table": raw}
+        doc = {"schema_version": 1, "components": list(names(m)), "truth_table": raw}
         with pytest.raises(InputError, match=message):
             document_to_structure(doc)
         with pytest.raises(InputError, match=message):
-            reference_truth_table(raw, 2)
+            reference_truth_table(raw, m)
 
     def test_large_shuffled_table(self):
         rng = random.Random(14)
@@ -358,3 +375,13 @@ class TestTruthTableReader:
         assert not table[0] and table[-1]
         doc = truth_table_doc(table, m, rng.sample(range(1 << m), 1 << m))
         assert read(doc) == SystemStructure.from_truth_table(names(m), table)
+
+    def test_m17_table_fills_three_byte_lanes(self):
+        rng = random.Random(17)
+        m = 17
+        family = {frozenset(rng.sample(range(m), rng.randint(2, 5))) for _ in range(12)}
+        table = list(superset_table(family, m))
+        entries = [{"state": format(mask, "017b")[::-1], "failed": table[mask]} for mask in range(1 << m)]
+        rng.shuffle(entries)
+        doc = {"schema_version": 1, "components": list(names(m)), "truth_table": entries}
+        assert document_to_structure(doc) == SystemStructure.from_truth_table(names(m), table)

@@ -15,6 +15,7 @@ from cutplan import (
     minimal_cutsets,
     minimal_pathsets,
     shortest_path_length,
+    structure,
 )
 
 from conftest import (
@@ -23,6 +24,7 @@ from conftest import (
     asymmetric_matrix,
     brute_force_minimal_hitting_sets,
     names,
+    reference_minimal_pathsets,
     scan_monotonicity_witness,
     series_matrix,
     superset_table,
@@ -195,6 +197,43 @@ class TestPathsets:
         assert shortest_path_length(asymmetric_matrix()) == 3
         for m in (1, 2, 5):
             assert shortest_path_length(series_matrix(m)) == m
+
+
+def random_family(rng, m, count, sizes):
+    """Up to count pairwise incomparable random cutsets over m components, as a matrix."""
+    family = []
+    for _ in range(10 * count):
+        cut = frozenset(rng.sample(range(m), min(m, rng.choice(sizes))))
+        if all(not (cut <= o or o <= cut) for o in family):
+            family.append(cut)
+            if len(family) == count:
+                break
+    return CutsetMatrix.from_index_sets(names(m), sorted(tuple(sorted(c)) for c in family))
+
+
+class TestPathsetKernel:
+    def test_matches_the_scan_reference(self):
+        rng = random.Random(1414)
+        with_zero_columns = 0
+        for trial in range(500):
+            m = rng.randint(1, 14)
+            matrix = random_family(rng, m, rng.randint(1, 16), range(1, 5))
+            with_zero_columns += bool(matrix.zero_columns())
+            assert minimal_pathsets(matrix) == reference_minimal_pathsets(matrix), (trial, matrix.rows)
+        assert with_zero_columns >= 100
+
+    def test_limit_fails_at_the_same_cutset(self, monkeypatch):
+        monkeypatch.setattr(structure, "PATHSET_LIMIT", 300)
+        rng = random.Random(4040)
+        for trial in range(4):
+            matrix = random_family(rng, 40, 74, (2, 3, 4))
+            assert matrix.s == 74
+            messages = []
+            for kernel in (minimal_pathsets, reference_minimal_pathsets):
+                with pytest.raises(InputError, match=r"more than 300 \(PATHSET_LIMIT\)") as excinfo:
+                    kernel(matrix)
+                messages.append(str(excinfo.value))
+            assert messages[0] == messages[1], trial
 
 
 class TestProperties:
